@@ -406,17 +406,10 @@ class DodNet(Module):
     """Single backbone whose segmentation head is generated per sample by a
     task-and-image conditioned controller."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        seed: int = 0,
-        condition_on_image: bool = True,
-        condition_on_task: bool = True,
-    ):
+    def __init__(self, config: ModelConfig, seed: int = 0, condition_on_task: bool = True):
         rng = np.random.default_rng(seed)
         self.config = config
         self.arch = "dodnet"
-        self.condition_on_image = condition_on_image
         self.condition_on_task = condition_on_task
         self.encoder = Encoder(rng, config)
         self.decoder = Decoder(
@@ -441,32 +434,46 @@ class DodNet(Module):
 
     __call__ = forward
 
-    def generate_kernels(self, bottleneck: Tensor, task: TaskArg, n: int) -> Tensor:
-        # The tap is re-standardized (no learned affine) before pooling so the
-        # conditioning scale cannot drift as the backbone trains; a freshly
-        # initialized controller then produces same-magnitude kernels whether
-        # the backbone is trained or not, which keeps warm starts sane.
+    @staticmethod
+    def pool_bottleneck(bottleneck: Tensor) -> Tensor:
+        """(N, C) conditioning vector: the bottleneck map re-standardized (no
+        learned affine) and averaged over space."""
+        # Standardizing before pooling keeps the conditioning scale from
+        # drifting as the backbone trains; a freshly initialized controller
+        # then produces same-magnitude kernels whether the backbone is trained
+        # or not, which keeps warm starts sane.
         c = bottleneck.shape[1]
         dt = bottleneck.data.dtype
         scale_free = ops.group_norm(
             bottleneck, 1, Tensor(np.ones(c, dtype=dt)), Tensor(np.zeros(c, dtype=dt))
         )
-        pooled = ops.global_avg_pool(scale_free)
-        if not self.condition_on_image:
-            pooled = Tensor(np.zeros_like(pooled.data))
+        return ops.global_avg_pool(scale_free)
+
+    def generate_kernels(
+        self, bottleneck: Tensor, task: TaskArg, n: int, pooled: Optional[Tensor] = None
+    ) -> Tensor:
+        """Flat head parameters (N, head_param_count) for the given task(s).
+
+        ``pooled`` is ``pool_bottleneck(bottleneck)`` when the caller already
+        has it; it is computed here otherwise.
+        """
+        if pooled is None:
+            pooled = self.pool_bottleneck(bottleneck)
         codes = _task_codes(task, n, self.config.num_tasks)
         if not self.condition_on_task:
             codes = np.zeros_like(codes)
         return self.controller(ops.concat([pooled, Tensor(codes)], axis=1))
 
     def segment_all_tasks(self, x: Tensor, tasks: Optional[Sequence[int]] = None) -> List[Tensor]:
-        """One backbone pass, then one generated head per requested task."""
+        """One backbone pass and one pooled bottleneck, then one controller
+        call and one generated head per requested task."""
         tasks = range(self.config.num_tasks) if tasks is None else tasks
         levels = self.encoder(x)
         seg_features = self.decoder(levels)
+        pooled = self.pool_bottleneck(levels[-1])
         out = []
         for t in tasks:
-            omega = self.generate_kernels(levels[-1], int(t), x.shape[0])
+            omega = self.generate_kernels(levels[-1], int(t), x.shape[0], pooled=pooled)
             out.append(dynamic_head(seg_features, split_kernels(omega, self.config)))
         return out
 

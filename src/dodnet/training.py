@@ -41,7 +41,6 @@ class TrainConfig:
     patch: Tuple[int, int, int] = (16, 32, 32)
     seed: int = 0
     eval_every: int = 0
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.lr_init <= 0:
@@ -340,8 +339,13 @@ def load_checkpoint(path: Path) -> CheckpointData:
 
 
 def restore_into(model: Module, ckpt: CheckpointData) -> None:
-    """Copy checkpoint parameters into a built model, validating every block."""
-    for name, p in model.named_parameters():
+    """Copy checkpoint parameters into a built model.
+
+    Every block is validated before any is copied, so a rejected checkpoint
+    leaves the model untouched.
+    """
+    params = model.named_parameters()
+    for name, p in params:
         if name not in ckpt.params:
             raise ValueError(f"checkpoint is missing parameter block {name!r}")
         block = ckpt.params[name]
@@ -349,11 +353,11 @@ def restore_into(model: Module, ckpt: CheckpointData) -> None:
             raise ValueError(
                 f"parameter block {name!r} has shape {block.shape}, model expects {p.shape}"
             )
-        p.data = block.astype(p.data.dtype)
-    model_names = {n for n, _ in model.named_parameters()}
-    extra = sorted(set(ckpt.params) - model_names)
+    extra = sorted(set(ckpt.params) - {name for name, _ in params})
     if extra:
         raise ValueError(f"checkpoint holds unexpected parameter block {extra[0]!r}")
+    for name, p in params:
+        p.data = ckpt.params[name].astype(p.data.dtype)
 
 
 def model_from_checkpoint(ckpt: CheckpointData) -> Module:

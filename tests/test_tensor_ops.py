@@ -1,5 +1,7 @@
 """Tensor core: forward semantics against brute-force oracles and pinned values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,20 +84,19 @@ class TestConv3d:
         with pytest.raises(ValueError, match="empty output"):
             ops.conv3d(x, w)
 
-    def test_depth_slab_path_matches_single_shot(self, monkeypatch):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depth_slab_path_matches_single_shot(self, monkeypatch, stride):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 3, 6, 5, 5))
         w = rng.normal(size=(4, 3, 3, 3, 3))
         b = rng.normal(size=4)
 
         def run():
-            from dodnet.tensor import Tape, backward
-
             xt = Tensor(x, requires_grad=True, dtype=np.float64)
             wt = Tensor(w, requires_grad=True, dtype=np.float64)
             bt = Tensor(b, requires_grad=True, dtype=np.float64)
             with Tape():
-                out = ops.conv3d(xt, wt, bt, stride=2, padding=1)
+                out = ops.conv3d(xt, wt, bt, stride=stride, padding=1)
                 backward(out.sum())
             return out.data, xt.grad, wt.grad, bt.grad
 
@@ -104,6 +105,23 @@ class TestConv3d:
         slabbed = run()
         for a, c in zip(whole, slabbed):
             np.testing.assert_allclose(a, c, rtol=1e-12)
+
+    def test_taped_forward_holds_no_patch_columns(self):
+        rng = np.random.default_rng(17)
+        n, cin, cout, spatial = 2, 4, 4, (8, 8, 8)
+        x = Tensor(rng.normal(size=(n, cin) + spatial), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.normal(size=(cout, cin, 3, 3, 3)), requires_grad=True, dtype=np.float64)
+        cols_bytes = n * cin * 27 * int(np.prod(spatial)) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = ops.conv3d(x, w, padding=1)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == (n, cout) + spatial
+        assert held < cols_bytes, f"{held} bytes held after forward, columns are {cols_bytes}"
 
 
 class TestGroupNorm:

@@ -295,6 +295,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="unexpected parameter block"):
             restore_into(model, ckpt)
 
+    def test_rejected_checkpoint_leaves_model_untouched(self, tmp_path):
+        save_checkpoint(tmp_path / "m.ckpt", DodNet(TINY, seed=1))
+        ckpt = load_checkpoint(tmp_path / "m.ckpt")
+        del ckpt.params["controller.bias"]
+        model = DodNet(TINY, seed=2)
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        with pytest.raises(ValueError, match="missing parameter block 'controller.bias'"):
+            restore_into(model, ckpt)
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, before[name]), name
+
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "x.ckpt"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
