@@ -1,4 +1,4 @@
-"""Synthetic partially-labeled phantoms, preprocessing, patching, and file I/O.
+"""Synthetic partially-labeled phantoms, patching, and file I/O.
 
 Each task owns a geometric recipe: an ellipsoidal "organ" with a spatial
 prior in a distinct octant of the volume and a distinct eccentricity, plus
@@ -204,11 +204,13 @@ def _paint_task(
     center = [_draw_in_range(rng, recipe.center_frac[a]) * shape[a] for a in range(3)]
     semi = [_draw_in_range(rng, recipe.semi_axis_frac[a]) * shape[a] for a in range(3)]
     for a in range(3):
-        if center[a] - semi[a] < 0.0 or center[a] + semi[a] > shape[a] - 1.0:
+        if 2.0 * semi[a] > shape[a] - 1.0:
             raise ValueError(
                 f"task {recipe.task.name!r} organ would exceed the volume bounds on "
-                f"axis {a}: center {center[a]:.1f}, semi-axis {semi[a]:.1f}, extent {shape[a]}"
+                f"axis {a}: semi-axis {semi[a]:.1f}, extent {shape[a]}"
             )
+        # A centre drawn too close to the border moves inward until the organ fits.
+        center[a] = min(max(center[a], semi[a]), shape[a] - 1.0 - semi[a])
     organ = _ellipsoid_mask(shape, center, semi)
     image[organ] = spec.organ_intensity
     if label_this_task and recipe.task.has_organ:
@@ -254,15 +256,6 @@ def generate_phantom(
     split = "test" if sample_seed >= TEST_SEED_BASE else "train"
     volume = Volume(image.astype(np.float32), spacing=spec.spacing, labels=labels)
     return LabeledSample(volume, task, split)
-
-
-def normalize_hu(volume: Volume, lo: float = -325.0, hi: float = 325.0) -> Volume:
-    """Clip to [lo, hi], then map linearly onto [-1, 1]."""
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
-    x = np.clip(volume.image, lo, hi)
-    x = 2.0 * (x - lo) / (hi - lo) - 1.0
-    return Volume(x.astype(np.float32), spacing=volume.spacing, labels=volume.labels)
 
 
 def sample_patch(
@@ -443,21 +436,42 @@ def save_dataset(ds: Dataset, out_dir: Path) -> Path:
     return path
 
 
+def _require(record, key: str, where: str):
+    """``record[key]``, or a ValueError naming the key and where it is missing."""
+    if not isinstance(record, dict) or key not in record:
+        raise ValueError(f"manifest {where} has no {key!r} key")
+    return record[key]
+
+
 def load_dataset(data_dir: Path) -> Dataset:
-    """Read a manifest directory back into memory."""
+    """Read a manifest directory back into memory.
+
+    The whole manifest is validated before any volume is read.
+    """
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {data_dir}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported manifest version {manifest.get('version')}")
-    tasks = {
-        t["task_id"]: TaskDescriptor(
-            t["task_id"], t["name"], has_organ=t["has_organ"], has_tumor=t["has_tumor"]
-        )
-        for t in manifest["tasks"]
-    }
+    if _require(manifest, "version", "top level") != FORMAT_VERSION:
+        raise ValueError(f"unsupported manifest version {manifest['version']}")
+    keys = ("task_id", "name", "has_organ", "has_tumor")
+    task_fields = [
+        [_require(t, key, f"task entry {i}") for key in keys]
+        for i, t in enumerate(_require(manifest, "tasks", "top level"))
+    ]
+    ids = [f[0] for f in task_fields]
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(1, len(ids) + 1)):
+        raise ValueError(f"manifest task ids must be 1..{len(ids)}, each once; got {ids}")
+    tasks = {f[0]: TaskDescriptor(*f) for f in task_fields}
+    entries = _require(manifest, "samples", "top level")
+    for i, entry in enumerate(entries):
+        where = f"sample entry {i}"
+        _require(entry, "name", where)
+        if _require(entry, "task_id", where) not in tasks:
+            raise ValueError(f"manifest {where} names unknown task id {entry['task_id']!r}")
+        if _require(entry, "split", where) not in ("train", "test"):
+            raise ValueError(f"manifest {where} has unknown split {entry['split']!r}")
     # The manifest does not carry geometry; rebuild a placeholder spec that
     # preserves task identity and the recorded global knobs.
     recipes = tuple(
@@ -465,15 +479,15 @@ def load_dataset(data_dir: Path) -> Dataset:
     )
     spec = PhantomSpec(
         recipes=recipes,
-        master_seed=manifest["master_seed"],
-        noise_sigma=manifest["noise_sigma"],
-        spacing=tuple(manifest["spacing"]),
+        master_seed=_require(manifest, "master_seed", "top level"),
+        noise_sigma=_require(manifest, "noise_sigma", "top level"),
+        spacing=tuple(_require(manifest, "spacing", "top level")),
         cross_task_anatomy=manifest.get("cross_task_anatomy", False),
     )
-    ds = Dataset(spec=spec, shape=tuple(manifest["shape"]))
+    ds = Dataset(spec=spec, shape=tuple(_require(manifest, "shape", "top level")))
     for t in tasks.values():
         ds.samples[t.task_id] = {"train": [], "test": []}
-    for entry in manifest["samples"]:
+    for entry in entries:
         volume = read_volume(data_dir / entry["name"])
         if volume.labels is None:
             raise ValueError(f"sample {entry['name']} has no label payload")

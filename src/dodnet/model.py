@@ -340,22 +340,11 @@ class Linear(Module):
 # dynamic head
 
 
-@dataclass
-class DynamicKernels:
-    """Per-sample weights/biases of the generated head, one entry per layer."""
-
-    layers: Tuple[Tuple[Tensor, Tensor], ...]
-
-    def flatten(self) -> Tensor:
-        parts = []
-        for w, b in self.layers:
-            n, cout, cin = w.shape
-            parts.append(w.reshape(n, cout * cin))
-            parts.append(b)
-        return ops.concat(parts, axis=1)
+# Per-layer (weight (N, C_out, C_in), bias (N, C_out)) pairs of a generated head.
+HeadKernels = Tuple[Tuple[Tensor, Tensor], ...]
 
 
-def split_kernels(omega: Tensor, config: ModelConfig) -> DynamicKernels:
+def split_kernels(omega: Tensor, config: ModelConfig) -> HeadKernels:
     """Slice the flat controller output (N, head_param_count) into per-layer
     weight blocks (row-major, out-channel major) and bias blocks."""
     total = head_param_count(config)
@@ -372,14 +361,14 @@ def split_kernels(omega: Tensor, config: ModelConfig) -> DynamicKernels:
         b = omega[:, offset : offset + cout]
         offset += cout
         layers.append((w, b))
-    return DynamicKernels(tuple(layers))
+    return tuple(layers)
 
 
-def dynamic_head(features: Tensor, kernels: DynamicKernels) -> Tensor:
+def dynamic_head(features: Tensor, kernels: HeadKernels) -> Tensor:
     """Run the per-sample 1x1x1 stack; ReLU between layers, none after the last."""
     h = features
-    last = len(kernels.layers) - 1
-    for i, (w, b) in enumerate(kernels.layers):
+    last = len(kernels) - 1
+    for i, (w, b) in enumerate(kernels):
         h = ops.batched_pointwise_conv3d(h, w, b)
         if i != last:
             h = ops.relu(h)

@@ -56,7 +56,8 @@ def _depth_slabs(n: int, ckk: int, out_spatial, itemsize: int) -> List[Tuple[int
 
 def _slab_cols(xp: np.ndarray, kernel, stride, z0: int, z1: int, out_hw) -> np.ndarray:
     """Patch columns (N, C*kd*kh*kw, L) of output depth rows z0..z1 of a
-    padded NCDHW array, copied out of a strided view."""
+    padded NCDHW array, copied out of a strided view (for a 1x1x1 stride-1
+    kernel on a contiguous array, the view itself)."""
     n, c = xp.shape[:2]
     kd, kh, kw = kernel
     sd, sh, sw = stride
@@ -71,17 +72,31 @@ def _slab_cols(xp: np.ndarray, kernel, stride, z0: int, z1: int, out_hw) -> np.n
     return view.reshape(n, c * kd * kh * kw, (z1 - z0) * ho * wo)
 
 
+def _pad(a: np.ndarray, padding) -> np.ndarray:
+    """Zero-pad the spatial axes of an NCDHW array symmetrically; `a` itself
+    when every pad is 0."""
+    if not any(padding):
+        return a
+    return np.pad(a, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+
+
 def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, stride, out_spatial) -> np.ndarray:
     """Cross-correlate a padded NCDHW array with kernels flattened to
-    (C_out, C_in*kd*kh*kw), one depth slab of patch columns at a time."""
+    (C_out, C_in*kd*kh*kw), one depth slab of patch columns at a time.
+
+    Each slab's product is written straight into its slice of the output.
+    For a 1x1x1 stride-1 kernel the columns are a view of the input, so the
+    conv is one channel-mixing matmul with no copy.
+    """
     n = xp.shape[0]
     cout = w2.shape[0]
     dtype = np.result_type(xp.dtype, w2.dtype)
     out = np.empty((n, cout) + tuple(out_spatial), dtype=dtype)
-    ho, wo = out_spatial[1:]
+    hw = out_spatial[1] * out_spatial[2]
+    flat = out.reshape(n, cout, -1)
     for z0, z1 in _depth_slabs(n, w2.shape[1], out_spatial, dtype.itemsize):
-        cols = _slab_cols(xp, kernel, stride, z0, z1, (ho, wo))
-        out[:, :, z0:z1] = np.matmul(w2, cols).reshape(n, cout, z1 - z0, ho, wo)
+        cols = _slab_cols(xp, kernel, stride, z0, z1, out_spatial[1:])
+        np.matmul(w2, cols, out=flat[:, :, z0 * hw : z1 * hw])
     return out
 
 
@@ -164,24 +179,13 @@ def conv3d(
     kernel = (kd, kh, kw)
     out_spatial = conv3d_output_shape((d, h, w), kernel, stride, padding)
 
-    if kernel == (1, 1, 1) and stride == (1, 1, 1) and padding == (0, 0, 0):
-        return _pointwise_conv3d(x, weight, bias)
-
-    pd, ph, pw = padding
-    if any(padding):
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    else:
-        xp = x.data
+    xp = _pad(x.data, padding)
     w2 = weight.data.reshape(cout, -1)
     out_data = _correlate(xp, w2, kernel, stride, out_spatial)
     if bias is not None:
         out_data += bias.data[None, :, None, None, None]
-    out = Tensor(out_data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        go = out.grad
+    def grad_fn(go):
         if bias is not None and bias.requires_grad:
             accumulate_grad(bias, go.sum(axis=(0, 2, 3, 4)))
         # The weight-gradient columns are freed on return, before the
@@ -194,42 +198,14 @@ def conv3d(
             # Full correlation of the output gradient with the flipped,
             # channel-transposed kernels: a forward conv with padding k-1-p.
             flipped = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            halo = tuple((k - 1 - p, k - 1 - p) for k, p in zip(kernel, padding))
-            gop = np.pad(go, ((0, 0), (0, 0)) + halo)
+            gop = _pad(go, tuple(k - 1 - p for k, p in zip(kernel, padding)))
             accumulate_grad(x, _correlate(gop, flipped.reshape(cin, -1), kernel, stride, (d, h, w)))
         else:
+            pd, ph, pw = padding
             gxp = _scatter_input_grad(go, w2, xp.shape, kernel, stride)
             accumulate_grad(x, gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
 
-    return _finalize(out, (x, weight) if bias is None else (x, weight, bias), bwd)
-
-
-def _pointwise_conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
-    """Fast path for 1x1x1 kernels: a channel-mixing matmul."""
-    n, cin = x.shape[:2]
-    spatial = x.shape[2:]
-    cout = weight.shape[0]
-    w2 = weight.data.reshape(cout, cin)
-    xf = x.data.reshape(n, cin, -1)
-    out_data = np.matmul(w2, xf)
-    if bias is not None:
-        out_data += bias.data[:, None]
-    out = Tensor(out_data.reshape(n, cout, *spatial))
-
-    def bwd():
-        if out.grad is None:
-            return
-        go = out.grad.reshape(n, cout, -1)
-        if bias is not None and bias.requires_grad:
-            accumulate_grad(bias, go.sum(axis=(0, 2)))
-        if weight.requires_grad:
-            gw = np.matmul(go, xf.transpose(0, 2, 1)).sum(axis=0)
-            accumulate_grad(weight, gw.reshape(weight.shape))
-        if x.requires_grad:
-            gx = np.matmul(w2.T, go)
-            accumulate_grad(x, gx.reshape(x.shape))
-
-    return _finalize(out, (x, weight) if bias is None else (x, weight, bias), bwd)
+    return _finalize(Tensor(out_data), (x, weight) if bias is None else (x, weight, bias), grad_fn)
 
 
 def group_norm(
@@ -259,10 +235,8 @@ def group_norm(
     gslice = gamma.data[None, :, None]
     out = Tensor((xhat_c * gslice + beta.data[None, :, None]).reshape(x.shape))
 
-    def bwd():
-        if out.grad is None:
-            return
-        go = out.grad.reshape(n, c, -1)
+    def grad_fn(g):
+        go = g.reshape(n, c, -1)
         if beta.requires_grad:
             accumulate_grad(beta, go.sum(axis=(0, 2)))
         if gamma.requires_grad:
@@ -274,7 +248,7 @@ def group_norm(
             gx = inv * (dxhat - mean_d - xhat * mean_dx)
             accumulate_grad(x, gx.reshape(x.shape))
 
-    return _finalize(out, (x, gamma, beta), bwd)
+    return _finalize(out, (x, gamma, beta), grad_fn)
 
 
 def weight_standardize(w: Tensor, eps: float = 1e-5) -> Tensor:
@@ -291,32 +265,20 @@ def weight_standardize(w: Tensor, eps: float = 1e-5) -> Tensor:
     var = flat.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     what = (flat - mu) * inv
-    out = Tensor(what.reshape(w.shape))
 
-    def bwd():
-        if out.grad is None:
-            return
-        if not w.requires_grad:
-            return
-        g = out.grad.reshape(cout, -1)
+    def grad_fn(g):
+        g = g.reshape(cout, -1)
         mean_g = g.mean(axis=1, keepdims=True)
         mean_gw = (g * what).mean(axis=1, keepdims=True)
         gw = inv * (g - mean_g - what * mean_gw)
         accumulate_grad(w, gw.reshape(w.shape))
 
-    return _finalize(out, (w,), bwd)
+    return _finalize(Tensor(what.reshape(w.shape)), (w,), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0))
     mask = x.data > 0  # subgradient 0 at the kink
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(x, out.grad * mask)
-
-    return _finalize(out, (x,), bwd)
+    return _finalize(Tensor(np.maximum(x.data, 0)), (x,), lambda g: accumulate_grad(x, g * mask))
 
 
 def sigmoid_array(d: np.ndarray) -> np.ndarray:
@@ -331,39 +293,18 @@ def sigmoid_array(d: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = sigmoid_array(x.data)
-    out = Tensor(s)
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(x, out.grad * s * (1.0 - s))
-
-    return _finalize(out, (x,), bwd)
+    return _finalize(Tensor(s), (x,), lambda g: accumulate_grad(x, g * s * (1.0 - s)))
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(x, out.grad / x.data)
-
-    return _finalize(out, (x,), bwd)
+    return _finalize(Tensor(np.log(x.data)), (x,), lambda g: accumulate_grad(x, g / x.data))
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ValueError(f"clamp needs lo < hi, got [{lo}, {hi}]")
-    out = Tensor(np.clip(x.data, lo, hi))
     mask = (x.data >= lo) & (x.data <= hi)
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(x, out.grad * mask)
-
-    return _finalize(out, (x,), bwd)
+    return _finalize(Tensor(np.clip(x.data, lo, hi)), (x,), lambda g: accumulate_grad(x, g * mask))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -378,20 +319,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 raise ValueError(
                     f"concat shapes {ref.shape} and {t.shape} differ off axis {axis}"
                 )
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
 
-    def bwd():
-        if out.grad is None:
-            return
+    def grad_fn(g):
         offset = 0
         for t, sz in zip(tensors, sizes):
-            idx = [slice(None)] * out.ndim
+            idx = [slice(None)] * g.ndim
             idx[axis] = slice(offset, offset + sz)
-            accumulate_grad(t, out.grad[tuple(idx)])
+            accumulate_grad(t, g[tuple(idx)])
             offset += sz
 
-    return _finalize(out, tuple(tensors), bwd)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    return _finalize(out, tuple(tensors), grad_fn)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -399,17 +338,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.ndim != 5:
         raise ValueError(f"global_avg_pool expects NCDHW input, got {x.shape}")
     voxels = int(np.prod(x.shape[2:]))
-    out = Tensor(x.data.mean(axis=(2, 3, 4)))
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.broadcast_to(
-            out.grad[:, :, None, None, None] / voxels, x.shape
-        ).astype(x.dtype, copy=False)
-        accumulate_grad(x, g)
+    def grad_fn(g):
+        gx = np.broadcast_to(g[:, :, None, None, None] / voxels, x.shape)
+        accumulate_grad(x, gx.astype(x.dtype, copy=False))
 
-    return _finalize(out, (x,), bwd)
+    return _finalize(Tensor(x.data.mean(axis=(2, 3, 4))), (x,), grad_fn)
 
 
 def _upsample_one_axis(x: Tensor, axis: int) -> Tensor:
@@ -432,12 +366,9 @@ def _upsample_one_axis(x: Tensor, axis: int) -> Tensor:
     odd[at(0, -1)] = 0.75 * src[at(0, -1)] + 0.25 * src[at(1)]
     even[at(0, 1)] = src[at(0, 1)]
     odd[at(-1)] = src[at(-1)]
-    out = Tensor(out_data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g_even, g_odd = out.grad[at(0, None, 2)], out.grad[at(1, None, 2)]
+    def grad_fn(g):
+        g_even, g_odd = g[at(0, None, 2)], g[at(1, None, 2)]
         gx = 0.75 * (g_even + g_odd)
         gx[at(1)] += 0.25 * g_odd[at(0, -1)]
         gx[at(0, -1)] += 0.25 * g_even[at(1)]
@@ -445,7 +376,7 @@ def _upsample_one_axis(x: Tensor, axis: int) -> Tensor:
         gx[at(-1)] += 0.25 * g_odd[at(-1)]
         accumulate_grad(x, gx)
 
-    return _finalize(out, (x,), bwd)
+    return _finalize(Tensor(out_data), (x,), grad_fn)
 
 
 def upsample_trilinear(x: Tensor) -> Tensor:
@@ -472,19 +403,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(
             f"linear feature mismatch: input has {x.shape[1]}, weight expects {weight.shape[1]}"
         )
-    out = Tensor(x.data @ weight.data.T + bias.data)
 
-    def bwd():
-        if out.grad is None:
-            return
+    def grad_fn(g):
         if bias.requires_grad:
-            accumulate_grad(bias, out.grad.sum(axis=0))
+            accumulate_grad(bias, g.sum(axis=0))
         if weight.requires_grad:
-            accumulate_grad(weight, out.grad.T @ x.data)
+            accumulate_grad(weight, g.T @ x.data)
         if x.requires_grad:
-            accumulate_grad(x, out.grad @ weight.data)
+            accumulate_grad(x, g @ weight.data)
 
-    return _finalize(out, (x, weight, bias), bwd)
+    return _finalize(Tensor(x.data @ weight.data.T + bias.data), (x, weight, bias), grad_fn)
 
 
 def batched_pointwise_conv3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -510,12 +438,9 @@ def batched_pointwise_conv3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     cout = weight.shape[1]
     xf = x.data.reshape(n, cin, -1)
     out_data = np.matmul(weight.data, xf) + bias.data[:, :, None]
-    out = Tensor(out_data.reshape(n, cout, *spatial))
 
-    def bwd():
-        if out.grad is None:
-            return
-        go = out.grad.reshape(n, cout, -1)
+    def grad_fn(g):
+        go = g.reshape(n, cout, -1)
         if bias.requires_grad:
             accumulate_grad(bias, go.sum(axis=2))
         if weight.requires_grad:
@@ -524,4 +449,4 @@ def batched_pointwise_conv3d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             gx = np.matmul(weight.data.transpose(0, 2, 1), go)
             accumulate_grad(x, gx.reshape(x.shape))
 
-    return _finalize(out, (x, weight, bias), bwd)
+    return _finalize(Tensor(out_data.reshape(n, cout, *spatial)), (x, weight, bias), grad_fn)

@@ -134,12 +134,21 @@ class Tensor:
         return getitem(self, idx)
 
 
-def _finalize(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    """Attach `out` to the active tape when any input is differentiable."""
+def _finalize(out: Tensor, inputs: Sequence[Tensor], grad_fn) -> Tensor:
+    """Attach `out` to the active tape when any input is differentiable.
+
+    ``grad_fn(g)`` receives the gradient of `out`; the tape calls it only
+    when backward reached `out`.
+    """
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
+
+        def backward_fn():
+            if out.grad is not None:
+                grad_fn(out.grad)
+
         tape.record(backward_fn)
     return out
 
@@ -165,148 +174,95 @@ def backward(loss: Tensor) -> None:
     tape._records.clear()
 
 
-def _as_pair(a: Tensor, other) -> tuple:
-    """Classify the second operand of a binary op: ('scalar', s) or ('tensor', t)."""
+def _operand(a: Tensor, other) -> Tensor:
+    """The second operand of a binary op as a Tensor: a tensor of `a`'s shape,
+    or a python scalar as a 0-d constant of `a`'s dtype."""
     if isinstance(other, Tensor):
         if other.shape != a.shape:
             raise ValueError(f"shape mismatch in elementwise op: {a.shape} vs {other.shape}")
-        return "tensor", other
+        return other
     if isinstance(other, (int, float, np.floating, np.integer)):
-        return "scalar", float(other)
+        return Tensor(np.asarray(float(other), dtype=a.dtype))
     raise TypeError(f"unsupported operand type {type(other)!r}")
 
 
 def add(a: Tensor, other) -> Tensor:
-    kind, b = _as_pair(a, other)
-    if kind == "scalar":
-        out = Tensor(a.data + b)
+    b = _operand(a, other)
 
-        def bwd():
-            if out.grad is None:
-                return
-            accumulate_grad(a, out.grad)
+    def grad_fn(g):
+        accumulate_grad(a, g)
+        accumulate_grad(b, g)
 
-        return _finalize(out, (a,), bwd)
-
-    out = Tensor(a.data + b.data)
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, out.grad)
-        accumulate_grad(b, out.grad)
-
-    return _finalize(out, (a, b), bwd)
+    return _finalize(Tensor(a.data + b.data), (a, b), grad_fn)
 
 
 def sub(a: Tensor, other) -> Tensor:
-    kind, b = _as_pair(a, other)
-    if kind == "scalar":
-        return add(a, -b)
-    out = Tensor(a.data - b.data)
+    b = _operand(a, other)
 
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, out.grad)
-        accumulate_grad(b, -out.grad)
+    def grad_fn(g):
+        accumulate_grad(a, g)
+        if b.requires_grad:
+            accumulate_grad(b, -g)
 
-    return _finalize(out, (a, b), bwd)
+    return _finalize(Tensor(a.data - b.data), (a, b), grad_fn)
 
 
 def sub_from(s: Scalar, a: Tensor) -> Tensor:
     """s - a for a python scalar s."""
-    out = Tensor(float(s) - a.data)
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, -out.grad)
-
-    return _finalize(out, (a,), bwd)
+    return _finalize(Tensor(float(s) - a.data), (a,), lambda g: accumulate_grad(a, -g))
 
 
 def mul(a: Tensor, other) -> Tensor:
-    kind, b = _as_pair(a, other)
-    if kind == "scalar":
-        out = Tensor(a.data * b)
+    b = _operand(a, other)
 
-        def bwd():
-            if out.grad is None:
-                return
-            accumulate_grad(a, out.grad * b)
+    def grad_fn(g):
+        if a.requires_grad:
+            accumulate_grad(a, g * b.data)
+        if b.requires_grad:
+            accumulate_grad(b, g * a.data)
 
-        return _finalize(out, (a,), bwd)
-
-    out = Tensor(a.data * b.data)
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, out.grad * b.data)
-        accumulate_grad(b, out.grad * a.data)
-
-    return _finalize(out, (a, b), bwd)
+    return _finalize(Tensor(a.data * b.data), (a, b), grad_fn)
 
 
 def div(a: Tensor, other) -> Tensor:
-    kind, b = _as_pair(a, other)
-    if kind == "scalar":
-        return mul(a, 1.0 / b)
-    out = Tensor(a.data / b.data)
+    b = _operand(a, other)
+    if b is not other:
+        # By a scalar: multiply by its reciprocal, taken in double precision.
+        return mul(a, 1.0 / float(other))
 
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, out.grad / b.data)
-        accumulate_grad(b, -out.grad * a.data / (b.data * b.data))
+    def grad_fn(g):
+        accumulate_grad(a, g / b.data)
+        accumulate_grad(b, -g * a.data / (b.data * b.data))
 
-    return _finalize(out, (a, b), bwd)
+    return _finalize(Tensor(a.data / b.data), (a, b), grad_fn)
 
 
 def tsum(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(dtype=a.data.dtype).reshape(()))
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, np.full_like(a.data, out.grad.reshape(())))
-
-    return _finalize(out, (a,), bwd)
+    return _finalize(
+        out, (a,), lambda g: accumulate_grad(a, np.full_like(a.data, g.reshape(())))
+    )
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.size
     out = Tensor(a.data.mean(dtype=a.data.dtype).reshape(()))
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, np.full_like(a.data, out.grad.reshape(()) / n))
-
-    return _finalize(out, (a,), bwd)
+    return _finalize(
+        out, (a,), lambda g: accumulate_grad(a, np.full_like(a.data, g.reshape(()) / n))
+    )
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape).copy())
-
-    def bwd():
-        if out.grad is None:
-            return
-        accumulate_grad(a, out.grad.reshape(a.shape))
-
-    return _finalize(out, (a,), bwd)
+    return _finalize(out, (a,), lambda g: accumulate_grad(a, g.reshape(a.shape)))
 
 
 def getitem(a: Tensor, idx) -> Tensor:
     """Basic (slice/int) indexing; backward scatters into a zero grid."""
-    out = Tensor(np.ascontiguousarray(a.data[idx]))
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.data)
-        g[idx] = out.grad
-        accumulate_grad(a, g)
+    def grad_fn(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        accumulate_grad(a, full)
 
-    return _finalize(out, (a,), bwd)
+    return _finalize(Tensor(np.ascontiguousarray(a.data[idx])), (a,), grad_fn)

@@ -2,13 +2,17 @@
 
 One logical thread owns the parameters.  Every batch carries a single task
 (sampled uniformly), every sample contributes its own masked loss, and the
-mean over the batch is backpropagated.  A non-finite loss aborts the run:
-silently skipping a diverged step would corrupt the momentum state anyway.
+mean over the batch is backpropagated.  A non-finite loss or gradient aborts
+the run before the update: silently skipping a diverged step would corrupt
+the momentum state anyway.  Checkpoints and the metrics log are written to a
+temporary file that replaces the target only once complete.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -28,7 +32,7 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a step produces a non-finite loss."""
+    """Raised when a step produces a non-finite loss or gradient."""
 
 
 @dataclass
@@ -86,15 +90,22 @@ def batch_loss(model: Module, batch: Batch) -> Tuple[Tensor, Tensor]:
 
 
 def train_step(model: Module, batch: Batch, optimizer: SGDMomentum, lr: float) -> float:
-    """Forward the batch, backpropagate the mean masked loss, update in place."""
+    """Forward the batch, backpropagate the mean masked loss, update in place.
+
+    The parameters and the optimizer state stay untouched when the loss or a
+    gradient is non-finite.
+    """
     optimizer.zero_grad()
+    tasks = sorted({task.name for _, _, task in batch})
     with Tape():
         loss, _ = batch_loss(model, batch)
         value = float(loss.data)
         if not np.isfinite(value):
-            tasks = sorted({task.name for _, _, task in batch})
             raise TrainingDiverged(f"non-finite loss {value} on a batch of task(s) {tasks}")
         backward(loss)
+    for name, p in model.named_parameters():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingDiverged(f"non-finite gradient of {name!r} on a batch of task(s) {tasks}")
     optimizer.step(lr)
     return value
 
@@ -190,8 +201,8 @@ def train(
         if result.best_path is None:
             result.best_path = Path(out_dir) / "best.ckpt"
             save_checkpoint(result.best_path, model, optimizer, step=step)
-        log_path = Path(out_dir) / "metrics.log"
-        log_path.write_text("\n".join(result.metric_lines) + "\n", encoding="utf-8")
+        with _replaced_on_success(Path(out_dir) / "metrics.log") as fh:
+            fh.write(("\n".join(result.metric_lines) + "\n").encode("utf-8"))
     return result
 
 
@@ -259,6 +270,21 @@ class CheckpointData:
         return ModelConfig(**kwargs)
 
 
+@contextmanager
+def _replaced_on_success(path: Path):
+    """Binary handle on a temporary sibling of `path` that replaces `path`
+    only when the block completes; on an error it is removed and any
+    previous file at `path` is left as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_record(fh, name: str, array: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     fh.write(struct.pack("<I", len(encoded)))
@@ -298,7 +324,7 @@ def save_checkpoint(
         config_lines.append(f"{f.name}={getattr(model.config, f.name)}")
     config_blob = "\n".join(config_lines).encode("utf-8")
     params = model.named_parameters()
-    with open(path, "wb") as fh:
+    with _replaced_on_success(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))

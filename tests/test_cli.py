@@ -1,6 +1,7 @@
 """End-to-end runs of the console entry point, kept small enough for CI."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -162,6 +163,45 @@ def test_missing_manifest_is_reported(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _drop_split_key(manifest):
+    del manifest["samples"][0]["split"]
+
+
+def _renumber_second_task(manifest):
+    manifest["tasks"][1]["task_id"] = 3
+
+
+def _quote_second_task_id(manifest):
+    manifest["tasks"][1]["task_id"] = "2"
+
+
+def _unknown_split(manifest):
+    manifest["samples"][0]["split"] = "validation"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_split_key, "sample entry 0 has no 'split' key"),
+        (_renumber_second_task, "task ids must be 1..2"),
+        (_quote_second_task_id, "task ids must be 1..2"),
+        (_unknown_split, "unknown split 'validation'"),
+    ],
+)
+def test_malformed_manifest_is_reported(run_dir, data_dir, tmp_path, capsys, corrupt, message):
+    bad = tmp_path / "bad-data"
+    shutil.copytree(data_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text(encoding="utf-8"))
+    corrupt(manifest)
+    (bad / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    rc = main(["eval", "--ckpt", str(run_dir / "best.ckpt"), "--data", str(bad),
+               "--window", PATCH])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_exits_with_usage_error():

@@ -1,6 +1,7 @@
-"""Phantom generation, preprocessing, patch sampling, and volume file round-trips."""
+"""Phantom generation, patch sampling, and volume file round-trips."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dodnet.data import (
     default_recipes,
     generate_phantom,
     load_dataset,
-    normalize_hu,
     read_volume,
     sample_patch,
     save_dataset,
@@ -110,6 +110,23 @@ class TestGeneratePhantom:
         with pytest.raises(ValueError, match="exceed"):
             generate_phantom(spec, recipe.task, 0, SHAPE)
 
+    def test_organ_drawn_across_the_border_moves_inside(self):
+        # Master seed 0, sample 1223: task 4's drawn depth centre (17.2) plus
+        # its semi-axis (5.8) passes the last plane of a 24-deep volume.
+        spec = PhantomSpec(recipes=default_recipes(7), master_seed=0)
+        sample = generate_phantom(spec, spec.tasks[3], 1223, SHAPE)
+        depth = np.nonzero((sample.labels > 0).any(axis=(1, 2)))[0]
+        assert set(np.unique(sample.labels)) == {0, 1, 2}
+        # Moved back just inside the last plane, not re-centred.
+        assert depth.min() > 0 and depth.max() == SHAPE[0] - 2
+
+    def test_organ_inside_the_bounds_is_unchanged(self):
+        # Pinned from the generator before centres were clamped.
+        spec = PhantomSpec(recipes=default_recipes(7), master_seed=0)
+        sample = generate_phantom(spec, spec.tasks[3], 1222, SHAPE)
+        digests = [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (sample.image, sample.labels)]
+        assert digests == ["0198c52b4f26ba6a", "e4d1831712819911"]
+
 
 class TestRecipesAndSpec:
     def test_default_octants_distinct(self):
@@ -136,29 +153,6 @@ class TestRecipesAndSpec:
             dataclasses.replace(base, center_frac=((0.5, 0.4), (0.3, 0.4), (0.3, 0.4)))
         with pytest.raises(ValueError, match="inside the organ"):
             dataclasses.replace(base, tumor_radius_frac=(0.5, 0.7))
-
-
-class TestNormalizeHu:
-    def test_hu_window_endpoints_and_midpoint(self):
-        vol = Volume(np.array([[[-325.0, 325.0, 0.0, 1000.0]]]))
-        out = normalize_hu(vol)
-        np.testing.assert_allclose(out.image[0, 0], [-1.0, 1.0, 0.0, 1.0])
-
-    def test_output_bounded(self):
-        rng = np.random.default_rng(0)
-        vol = Volume(rng.uniform(-2000, 2000, size=(4, 4, 4)).astype(np.float32))
-        out = normalize_hu(vol)
-        assert out.image.min() >= -1.0 and out.image.max() <= 1.0
-
-    def test_idempotent_on_normalized(self):
-        rng = np.random.default_rng(1)
-        vol = Volume(rng.uniform(-1, 1, size=(4, 4, 4)).astype(np.float32))
-        out = normalize_hu(vol, lo=-1.0, hi=1.0)
-        np.testing.assert_allclose(out.image, vol.image, atol=1e-6)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError, match="lo < hi"):
-            normalize_hu(Volume(np.zeros((2, 2, 2))), lo=1.0, hi=-1.0)
 
 
 class TestSamplePatch:

@@ -8,7 +8,6 @@ from dodnet import ops
 from dodnet.model import (
     CondInputNet,
     DodNet,
-    DynamicKernels,
     ModelConfig,
     MultiHeadNet,
     build_model,
@@ -83,7 +82,7 @@ class TestSplitKernels:
         omega = Tensor(np.arange(162, dtype=np.float32).reshape(1, 162))
         kernels = split_kernels(omega, cfg)
         sizes = []
-        for w, b in kernels.layers:
+        for w, b in kernels:
             sizes.append(w.size)
             sizes.append(b.size)
         assert sizes == [64, 8, 64, 8, 16, 2]
@@ -92,13 +91,15 @@ class TestSplitKernels:
         cfg = desk_config(head_depth=4, head_width=8)
         rng = np.random.default_rng(0)
         omega = Tensor(rng.normal(size=(3, head_param_count(cfg))).astype(np.float32))
-        flat = split_kernels(omega, cfg).flatten()
-        np.testing.assert_array_equal(flat.data, omega.data)
+        parts = []
+        for w, b in split_kernels(omega, cfg):
+            parts += [w.data.reshape(3, -1), b.data]
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), omega.data)
 
     def test_row_major_out_channel_major_layout(self):
         cfg = desk_config()
         omega = Tensor(np.arange(162, dtype=np.float32).reshape(1, 162))
-        w1, b1 = split_kernels(omega, cfg).layers[0]
+        w1, b1 = split_kernels(omega, cfg)[0]
         # first row of the first weight block is the first C_in scalars
         np.testing.assert_array_equal(w1.data[0, 0], np.arange(8))
         np.testing.assert_array_equal(b1.data[0], np.arange(64, 72))
@@ -113,15 +114,10 @@ class TestDynamicHead:
         # Width-1 head on constant features: relu(1*2+0)=2, relu(2-1)=1,
         # output rows (1, 0) and (-1, 0) give logits (1, -1) everywhere.
         features = Tensor(np.full((1, 1, 2, 2, 2), 2.0))
-        kernels = DynamicKernels(
-            (
-                (Tensor(np.ones((1, 1, 1))), Tensor(np.zeros((1, 1)))),
-                (Tensor(np.ones((1, 1, 1))), Tensor(np.full((1, 1), -1.0))),
-                (
-                    Tensor(np.array([1.0, -1.0]).reshape(1, 2, 1)),
-                    Tensor(np.zeros((1, 2))),
-                ),
-            )
+        kernels = (
+            (Tensor(np.ones((1, 1, 1))), Tensor(np.zeros((1, 1)))),
+            (Tensor(np.ones((1, 1, 1))), Tensor(np.full((1, 1), -1.0))),
+            (Tensor(np.array([1.0, -1.0]).reshape(1, 2, 1)), Tensor(np.zeros((1, 2)))),
         )
         out = dynamic_head(features, kernels).data
         np.testing.assert_allclose(out[0, 0], 1.0)

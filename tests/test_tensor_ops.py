@@ -84,11 +84,18 @@ class TestConv3d:
         with pytest.raises(ValueError, match="empty output"):
             ops.conv3d(x, w)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_depth_slab_path_matches_single_shot(self, monkeypatch, stride):
+    @pytest.mark.parametrize(
+        "kernel, stride, padding",
+        [
+            pytest.param(3, 1, 1, id="1"),
+            pytest.param(3, 2, 1, id="2"),
+            pytest.param(1, 1, 0, id="k1"),
+        ],
+    )
+    def test_depth_slab_path_matches_single_shot(self, monkeypatch, kernel, stride, padding):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 3, 6, 5, 5))
-        w = rng.normal(size=(4, 3, 3, 3, 3))
+        w = rng.normal(size=(4, 3) + (kernel,) * 3)
         b = rng.normal(size=4)
 
         def run():
@@ -96,7 +103,7 @@ class TestConv3d:
             wt = Tensor(w, requires_grad=True, dtype=np.float64)
             bt = Tensor(b, requires_grad=True, dtype=np.float64)
             with Tape():
-                out = ops.conv3d(xt, wt, bt, stride=stride, padding=1)
+                out = ops.conv3d(xt, wt, bt, stride=stride, padding=padding)
                 backward(out.sum())
             return out.data, xt.grad, wt.grad, bt.grad
 
@@ -239,6 +246,28 @@ class TestSmallOps:
         with pytest.raises(ValueError, match="shape mismatch"):
             Tensor(np.zeros(3)) + Tensor(np.zeros(4))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_operands_keep_the_dtype(self, dtype):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=dtype)
+        with Tape():
+            outs = [t + 0.1, t - 0.1, t * 0.1, t / 0.1, 0.1 - t]
+            loss = outs[0].sum()
+            for out in outs[1:]:
+                loss = loss + out.sum()
+            backward(loss)
+        x = t.data
+        for out, want in zip(outs, [x + 0.1, x - 0.1, x * 0.1, x * (1.0 / 0.1), 0.1 - x]):
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.data, want)
+        assert t.grad.dtype == dtype
+        np.testing.assert_allclose(t.grad, 1.0 + 1.0 + 0.1 + 10.0 - 1.0, rtol=1e-6)
+
+    def test_non_numeric_operand_rejected(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Tensor(np.ones(2)) * "x"
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Tensor(np.ones(2)) / "x"
+
     def test_clamp_bounds(self):
         out = ops.clamp(Tensor(np.array([-1.0, 0.5, 2.0])), 0.0, 1.0).data
         np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
@@ -268,6 +297,17 @@ class TestTapeSemantics:
             assert len(tape) > 0
             backward(loss)
             assert len(tape) == 0
+        np.testing.assert_allclose(p.grad, 3.0)
+
+    def test_output_that_misses_the_loss_gives_no_grad(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        q = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            ops.sigmoid(q * 2.0)  # recorded, but never reaches the loss
+            loss = (p * 3.0).sum()
+            assert len(tape) == 4
+            backward(loss)
+        assert q.grad is None
         np.testing.assert_allclose(p.grad, 3.0)
 
     def test_reverse_order_accumulation(self):

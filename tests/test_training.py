@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dodnet import training
 from dodnet.data import Dataset, PhantomSpec, build_dataset, default_recipes
 from dodnet.losses import TaskDescriptor
 from dodnet.model import DodNet, MultiHeadNet, desk_config
@@ -112,6 +113,24 @@ class TestTrainStep:
         opt = SGDMomentum(model.named_parameters())
         with pytest.raises(TrainingDiverged, match="non-finite"):
             train_step(model, tiny_batch(np.random.default_rng(2)), opt, lr=0.01)
+
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
+        model = DodNet(TINY, seed=3)
+        opt = SGDMomentum(model.named_parameters())
+        train_step(model, tiny_batch(np.random.default_rng(2)), opt, lr=0.01)
+        params = {n: p.data.copy() for n, p in model.named_parameters()}
+        velocity = {n: v.copy() for n, v in opt.velocity.items()}
+
+        def backward_then_poison(loss):
+            backward(loss)
+            model.controller.weight.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "backward", backward_then_poison)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient of 'controller.weight'"):
+            train_step(model, tiny_batch(np.random.default_rng(4)), opt, lr=0.01)
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, params[name]), name
+            assert np.array_equal(opt.velocity[name], velocity[name]), name
 
     def test_empty_batch_rejected(self):
         model = DodNet(TINY, seed=0)
@@ -305,6 +324,25 @@ class TestCheckpoints:
             restore_into(model, ckpt)
         for name, p in model.named_parameters():
             assert np.array_equal(p.data, before[name]), name
+
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, DodNet(TINY, seed=1))
+        old = path.read_bytes()
+        written = []
+        real_write_record = training._write_record
+
+        def write_then_fail(fh, name, array):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(name)
+            real_write_record(fh, name, array)
+
+        monkeypatch.setattr(training, "_write_record", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, DodNet(TINY, seed=2))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "x.ckpt"
