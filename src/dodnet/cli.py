@@ -113,7 +113,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     from .data import load_dataset
     from .model import build_model
-    from .training import TrainConfig, load_checkpoint, train, transfer_init
+    from .training import TrainConfig, TrainingDiverged, load_checkpoint, train, transfer_init
 
     ds = load_dataset(args.data)
     config = _model_config(args.config, num_tasks=len(ds.tasks))
@@ -133,7 +133,10 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         eval_every=args.eval_every,
     )
-    result = train(model, ds, tc, out_dir=args.out)
+    try:
+        result = train(model, ds, tc, out_dir=args.out)
+    except TrainingDiverged as exc:
+        raise ValueError(f"training diverged: {exc}") from exc
     print(f"trained {len(result.losses)} steps; final loss {result.losses[-1]:.4f}")
     if result.best_mean_dice is not None:
         print(f"best mean dice {result.best_mean_dice:.4f}")

@@ -411,7 +411,7 @@ class DodNet(Module):
     def forward(self, x: Tensor, task: TaskArg, return_internals: bool = False):
         levels = self.encoder(x)
         seg_features = self.decoder(levels)
-        omega = self.generate_kernels(levels[-1], task, x.shape[0])
+        omega = self.generate_kernels(self.pool_bottleneck(levels[-1]), task)
         logits = dynamic_head(seg_features, split_kernels(omega, self.config))
         if return_internals:
             return logits, {
@@ -438,17 +438,10 @@ class DodNet(Module):
         )
         return ops.global_avg_pool(scale_free)
 
-    def generate_kernels(
-        self, bottleneck: Tensor, task: TaskArg, n: int, pooled: Optional[Tensor] = None
-    ) -> Tensor:
-        """Flat head parameters (N, head_param_count) for the given task(s).
-
-        ``pooled`` is ``pool_bottleneck(bottleneck)`` when the caller already
-        has it; it is computed here otherwise.
-        """
-        if pooled is None:
-            pooled = self.pool_bottleneck(bottleneck)
-        codes = _task_codes(task, n, self.config.num_tasks)
+    def generate_kernels(self, pooled: Tensor, task: TaskArg) -> Tensor:
+        """Flat head parameters (N, head_param_count) for the given task(s),
+        from the conditioning vector ``pool_bottleneck(bottleneck)``."""
+        codes = _task_codes(task, pooled.shape[0], self.config.num_tasks)
         if not self.condition_on_task:
             codes = np.zeros_like(codes)
         return self.controller(ops.concat([pooled, Tensor(codes)], axis=1))
@@ -462,7 +455,7 @@ class DodNet(Module):
         pooled = self.pool_bottleneck(levels[-1])
         out = []
         for t in tasks:
-            omega = self.generate_kernels(levels[-1], int(t), x.shape[0], pooled=pooled)
+            omega = self.generate_kernels(pooled, int(t))
             out.append(dynamic_head(seg_features, split_kernels(omega, self.config)))
         return out
 

@@ -7,6 +7,7 @@ finite-difference suite in the tests.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,12 +73,15 @@ def _slab_cols(xp: np.ndarray, kernel, stride, z0: int, z1: int, out_hw) -> np.n
     return view.reshape(n, c * kd * kh * kw, (z1 - z0) * ho * wo)
 
 
-def _pad(a: np.ndarray, padding) -> np.ndarray:
-    """Zero-pad the spatial axes of an NCDHW array symmetrically; `a` itself
-    when every pad is 0."""
-    if not any(padding):
+def _pad(a: np.ndarray, pads) -> np.ndarray:
+    """Zero-pad the spatial axes of an NCDHW array by a (before, after) pair
+    per axis, where a negative amount crops; `a` itself when every amount
+    is 0."""
+    if not any(b or e for b, e in pads):
         return a
-    return np.pad(a, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    crop = tuple(slice(max(-b, 0), n - max(-e, 0)) for (b, e), n in zip(pads, a.shape[2:]))
+    widths = tuple((max(b, 0), max(e, 0)) for b, e in pads)
+    return np.pad(a[(slice(None), slice(None)) + crop], ((0, 0), (0, 0)) + widths)
 
 
 def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, stride, out_spatial) -> np.ndarray:
@@ -117,30 +121,39 @@ def _weight_grad(xp: np.ndarray, go: np.ndarray, kernel, stride) -> np.ndarray:
     return gw_t.T
 
 
-def _scatter_input_grad(go: np.ndarray, w2: np.ndarray, xp_shape, kernel, stride) -> np.ndarray:
-    """d(loss)/d(padded input) by col2im: every kernel tap adds its slice of
-    the column gradient back onto the input grid.  Handles any stride."""
-    n, cout = go.shape[:2]
-    cin = xp_shape[1]
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
-    ho, wo = go.shape[3:]
-    gxp = np.zeros(xp_shape, dtype=go.dtype)
-    for z0, z1 in _depth_slabs(n, w2.shape[1], go.shape[2:], go.dtype.itemsize):
-        gcols = np.matmul(w2.T, go[:, :, z0:z1].reshape(n, cout, -1))
-        gcols = gcols.reshape(n, cin, kd, kh, kw, z1 - z0, ho, wo)
-        for iz in range(kd):
-            for iy in range(kh):
-                for ix in range(kw):
-                    zs = z0 * sd + iz
-                    gxp[
-                        :,
-                        :,
-                        zs : zs + sd * (z1 - z0) : sd,
-                        iy : iy + sh * ho : sh,
-                        ix : ix + sw * wo : sw,
-                    ] += gcols[:, :, iz, iy, ix]
-    return gxp
+def _input_grad(go: np.ndarray, weight: np.ndarray, in_spatial, stride, padding) -> np.ndarray:
+    """d(loss)/d(input) of a conv as forward correlations, one per stride
+    phase of the input grid.
+
+    Along an axis with stride s and padding p, the input voxels r::s meet
+    only the kernel taps w[c::s], where t, c = divmod(r + p, s).  Their
+    gradient is the stride-1 correlation of the output gradient, shifted by
+    t, with the flipped, channel-transposed sub-kernel.  Phases whose taps
+    or voxels are empty keep a zero gradient.  Stride 1 is a single phase:
+    the full correlation with the output gradient padded by k-1-p.
+    """
+    cin = weight.shape[1]
+    per_axis = []
+    for d, k, s, p, o in zip(in_spatial, weight.shape[2:], stride, padding, go.shape[2:]):
+        phases = []
+        for r in range(s):
+            t, c = divmod(r + p, s)
+            m, j = len(range(c, k, s)), len(range(r, d, s))
+            if m and j:
+                phases.append((slice(r, None, s), slice(c, None, s), (m - 1 - t, j + t - o), j))
+        per_axis.append(phases)
+    gx = None
+    if stride != (1, 1, 1):
+        gx = np.zeros((go.shape[0], cin) + in_spatial, dtype=go.dtype)
+    for phase in itertools.product(*per_axis):
+        voxels, taps, pads, extents = zip(*phase)
+        sub = weight[(slice(None), slice(None)) + taps][:, :, ::-1, ::-1, ::-1]
+        w2 = sub.transpose(1, 0, 2, 3, 4).reshape(cin, -1)
+        g = _correlate(_pad(go, pads), w2, sub.shape[2:], (1, 1, 1), extents)
+        if gx is None:
+            return g
+        gx[(slice(None), slice(None)) + voxels] = g
+    return gx
 
 
 def conv3d(
@@ -179,7 +192,7 @@ def conv3d(
     kernel = (kd, kh, kw)
     out_spatial = conv3d_output_shape((d, h, w), kernel, stride, padding)
 
-    xp = _pad(x.data, padding)
+    xp = _pad(x.data, [(p, p) for p in padding])
     w2 = weight.data.reshape(cout, -1)
     out_data = _correlate(xp, w2, kernel, stride, out_spatial)
     if bias is not None:
@@ -192,20 +205,26 @@ def conv3d(
         # input-gradient columns are built.
         if weight.requires_grad:
             accumulate_grad(weight, _weight_grad(xp, go, kernel, stride).reshape(weight.shape))
-        if not x.requires_grad:
-            return
-        if stride == (1, 1, 1) and all(p < k for p, k in zip(padding, kernel)):
-            # Full correlation of the output gradient with the flipped,
-            # channel-transposed kernels: a forward conv with padding k-1-p.
-            flipped = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            gop = _pad(go, tuple(k - 1 - p for k, p in zip(kernel, padding)))
-            accumulate_grad(x, _correlate(gop, flipped.reshape(cin, -1), kernel, stride, (d, h, w)))
-        else:
-            pd, ph, pw = padding
-            gxp = _scatter_input_grad(go, w2, xp.shape, kernel, stride)
-            accumulate_grad(x, gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
+        if x.requires_grad:
+            accumulate_grad(x, _input_grad(go, weight.data, (d, h, w), stride, padding))
 
     return _finalize(Tensor(out_data), (x, weight) if bias is None else (x, weight, bias), grad_fn)
+
+
+def _standardize(a: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Zero mean and unit variance over the last axis: (xhat, inv), where
+    inv = 1 / sqrt(var + eps) keeps the last axis as size 1."""
+    mu = a.mean(axis=-1, keepdims=True)
+    var = a.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return (a - mu) * inv, inv
+
+
+def _standardize_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """d(loss)/d(a) of _standardize, given g = d(loss)/d(xhat)."""
+    mean_g = g.mean(axis=-1, keepdims=True)
+    mean_gx = (g * xhat).mean(axis=-1, keepdims=True)
+    return inv * (g - mean_g - xhat * mean_gx)
 
 
 def group_norm(
@@ -224,13 +243,7 @@ def group_norm(
         raise ValueError(
             f"gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}"
         )
-    spatial = x.shape[2:]
-    m = (c // num_groups) * int(np.prod(spatial))
-    xg = x.data.reshape(n, num_groups, m)
-    mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xg - mu) * inv  # (N, G, M)
+    xhat, inv = _standardize(x.data.reshape(n, num_groups, -1), eps)  # (N, G, M)
     xhat_c = xhat.reshape(n, c, -1)
     gslice = gamma.data[None, :, None]
     out = Tensor((xhat_c * gslice + beta.data[None, :, None]).reshape(x.shape))
@@ -242,11 +255,8 @@ def group_norm(
         if gamma.requires_grad:
             accumulate_grad(gamma, (go * xhat_c).sum(axis=(0, 2)))
         if x.requires_grad:
-            dxhat = (go * gslice).reshape(n, num_groups, m)
-            mean_d = dxhat.mean(axis=2, keepdims=True)
-            mean_dx = (dxhat * xhat).mean(axis=2, keepdims=True)
-            gx = inv * (dxhat - mean_d - xhat * mean_dx)
-            accumulate_grad(x, gx.reshape(x.shape))
+            dxhat = (go * gslice).reshape(xhat.shape)
+            accumulate_grad(x, _standardize_grad(dxhat, xhat, inv).reshape(x.shape))
 
     return _finalize(out, (x, gamma, beta), grad_fn)
 
@@ -259,19 +269,10 @@ def weight_standardize(w: Tensor, eps: float = 1e-5) -> Tensor:
     """
     if w.ndim != 5:
         raise ValueError(f"weight_standardize expects 5-d kernels, got {w.shape}")
-    cout = w.shape[0]
-    flat = w.data.reshape(cout, -1)
-    mu = flat.mean(axis=1, keepdims=True)
-    var = flat.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    what = (flat - mu) * inv
+    what, inv = _standardize(w.data.reshape(w.shape[0], -1), eps)
 
     def grad_fn(g):
-        g = g.reshape(cout, -1)
-        mean_g = g.mean(axis=1, keepdims=True)
-        mean_gw = (g * what).mean(axis=1, keepdims=True)
-        gw = inv * (g - mean_g - what * mean_gw)
-        accumulate_grad(w, gw.reshape(w.shape))
+        accumulate_grad(w, _standardize_grad(g.reshape(what.shape), what, inv).reshape(w.shape))
 
     return _finalize(Tensor(what.reshape(w.shape)), (w,), grad_fn)
 

@@ -47,8 +47,8 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.lr_init <= 0:
-            raise ValueError(f"lr_init must be positive, got {self.lr_init}")
+        if not (np.isfinite(self.lr_init) and self.lr_init > 0):
+            raise ValueError(f"lr_init must be positive and finite, got {self.lr_init}")
         if self.max_epoch < 1:
             raise ValueError(f"max_epoch must be >= 1, got {self.max_epoch}")
         if self.steps_per_epoch < 1:

@@ -204,6 +204,17 @@ def test_malformed_manifest_is_reported(run_dir, data_dir, tmp_path, capsys, cor
     assert "Traceback" not in err
 
 
+def test_diverged_training_is_reported(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(data_dir), "--epochs", "1", "--steps", "3",
+               "--batch", "1", "--patch", PATCH, "--lr", "1e30", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "diverged" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*.ckpt"))
+
+
 def test_unknown_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])

@@ -205,9 +205,9 @@ class TestController:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(1, 1, 8, 16, 16)).astype(np.float32))
         levels = model.encoder(x)
-        base = model.generate_kernels(levels[-1], 0, 1).data
+        base = model.generate_kernels(model.pool_bottleneck(levels[-1]), 0).data
         warped = Tensor(levels[-1].data * 250.0 + 37.0)
-        again = model.generate_kernels(warped, 0, 1).data
+        again = model.generate_kernels(model.pool_bottleneck(warped), 0).data
         np.testing.assert_allclose(again, base, atol=2e-3)
 
 

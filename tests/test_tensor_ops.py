@@ -90,6 +90,7 @@ class TestConv3d:
             pytest.param(3, 1, 1, id="1"),
             pytest.param(3, 2, 1, id="2"),
             pytest.param(1, 1, 0, id="k1"),
+            pytest.param(1, 2, 0, id="k1s2"),
         ],
     )
     def test_depth_slab_path_matches_single_shot(self, monkeypatch, kernel, stride, padding):
@@ -112,6 +113,30 @@ class TestConv3d:
         slabbed = run()
         for a, c in zip(whole, slabbed):
             np.testing.assert_allclose(a, c, rtol=1e-12)
+
+    def test_input_gradient_is_the_adjoint_of_the_oracle(self):
+        # <conv(x), g> == <x, conv^T(g)> for every stride phase, including
+        # phases with no kernel taps (k < s) and no input voxels (D < s).
+        rng = np.random.default_rng(29)
+        for case in range(60):
+            kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
+            stride = tuple(int(rng.integers(1, 4)) for _ in range(3))
+            padding = tuple(int(rng.integers(0, k + 2)) for k in kernel)
+            spatial = tuple(
+                max(int(rng.integers(1, 7)), k - 2 * p) for k, p in zip(kernel, padding)
+            )
+            x = rng.normal(size=(2, 2) + spatial)
+            w = rng.normal(size=(3, 2) + kernel)
+            ref = conv3d_oracle(x, w, stride=stride, padding=padding)
+            g = rng.normal(size=ref.shape)
+            xt = Tensor(x, requires_grad=True, dtype=np.float64)
+            with Tape():
+                out = ops.conv3d(xt, Tensor(w, dtype=np.float64), stride=stride, padding=padding)
+                backward((out * Tensor(g)).sum())
+            np.testing.assert_allclose(
+                np.vdot(ref, g), np.vdot(x, xt.grad), rtol=1e-12, atol=1e-12,
+                err_msg=f"case {case}: kernel {kernel}, stride {stride}, padding {padding}",
+            )
 
     def test_taped_forward_holds_no_patch_columns(self):
         rng = np.random.default_rng(17)

@@ -401,6 +401,9 @@ class TestTrainConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="lr_init"):
             TrainConfig(max_epoch=1, lr_init=0.0)
+        for lr in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="lr_init"):
+                TrainConfig(max_epoch=1, lr_init=lr)
         with pytest.raises(ValueError, match="max_epoch"):
             TrainConfig(max_epoch=0)
         with pytest.raises(ValueError, match="batch_size"):
