@@ -16,6 +16,8 @@ samples draw from disjoint seed ranges.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -288,6 +290,21 @@ def sample_patch(
 # volume files: <base>.hdr (text), <base>.img (f32le), <base>.lbl (u8)
 
 
+@contextmanager
+def _replaced_on_success(path: Path):
+    """Binary handle on a temporary sibling of `path` that replaces `path`
+    only when the block completes; on an error it is removed and any
+    previous file at `path` is left as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_volume(volume: Volume, base: Path) -> None:
     base = Path(base)
     shape = ",".join(str(n) for n in volume.shape)
@@ -301,14 +318,15 @@ def write_volume(volume: Volume, base: Path) -> None:
         f"has_labels={has_labels}\n"
     )
     base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".hdr").write_text(header, encoding="utf-8")
-    base.with_suffix(".img").write_bytes(
-        np.ascontiguousarray(volume.image, dtype="<f4").tobytes()
-    )
+    payloads = {
+        ".hdr": header.encode("utf-8"),
+        ".img": np.ascontiguousarray(volume.image, dtype="<f4").tobytes(),
+    }
     if volume.labels is not None:
-        base.with_suffix(".lbl").write_bytes(
-            np.ascontiguousarray(volume.labels, dtype=np.uint8).tobytes()
-        )
+        payloads[".lbl"] = np.ascontiguousarray(volume.labels, dtype=np.uint8).tobytes()
+    for suffix, payload in payloads.items():
+        with _replaced_on_success(base.with_suffix(suffix)) as fh:
+            fh.write(payload)
 
 
 def _parse_header(path: Path) -> Dict[str, str]:
@@ -348,6 +366,8 @@ def read_volume(base: Path) -> Volume:
             f"{base}.img holds {len(payload)} bytes, expected {4 * count} for shape {shape}"
         )
     image = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    if not np.isfinite(image).all():
+        raise ValueError(f"{base}.img holds non-finite values")
     labels = None
     if fields["has_labels"] == "1":
         raw = base.with_suffix(".lbl").read_bytes()
@@ -356,6 +376,9 @@ def read_volume(base: Path) -> Volume:
                 f"{base}.lbl holds {len(raw)} bytes, expected {count} for shape {shape}"
             )
         labels = np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+        top = labels.max(initial=0)
+        if top > 2:
+            raise ValueError(f"{base}.lbl holds label {top}, outside 0, 1, 2")
     return Volume(image.copy(), spacing=spacing, labels=None if labels is None else labels.copy())
 
 
@@ -432,7 +455,8 @@ def save_dataset(ds: Dataset, out_dir: Path) -> Path:
         "samples": entries,
     }
     path = out_dir / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with _replaced_on_success(path) as fh:
+        fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return path
 
 

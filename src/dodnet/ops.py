@@ -8,7 +8,7 @@ finite-difference suite in the tests.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -16,8 +16,11 @@ from .tensor import Tensor, _finalize, accumulate_grad
 
 IntOrTriple = Union[int, Tuple[int, int, int]]
 
-# Cap on the transient im2col buffer; larger convolutions run in depth slabs.
-_COL_LIMIT_BYTES = 256 * 1024 * 1024
+# Budget of the stacked-shift buffer of a conv, in bytes; a chunk holds at
+# least one output depth row.  Timed on the k3 convs of the repo benchmark's
+# workloads (2-core x86-64, one BLAS thread), budgets of 2 MiB and less ran
+# 5-41% slower per workload than 4 MiB, and 8 MiB within 6% of it.
+_SHIFT_BUF_BYTES = 4 * 1024 * 1024
 
 
 def _triple(v: IntOrTriple, name: str) -> Tuple[int, int, int]:
@@ -43,113 +46,198 @@ def conv3d_output_shape(spatial, kernel, stride, padding) -> Tuple[int, int, int
     return tuple(out)
 
 
-def _depth_slabs(n: int, ckk: int, out_spatial, itemsize: int) -> List[Tuple[int, int]]:
-    """Output-depth ranges whose (N, ckk, slab voxels) column buffer stays
-    within _COL_LIMIT_BYTES (at least one depth row per slab)."""
-    do, ho, wo = out_spatial
-    slab_bytes = n * ckk * ho * wo * itemsize
-    if slab_bytes * do <= _COL_LIMIT_BYTES:
-        z_step = do
-    else:
-        z_step = max(1, _COL_LIMIT_BYTES // slab_bytes)
-    return [(z0, min(z0 + z_step, do)) for z0 in range(0, do, z_step)]
-
-
-def _slab_cols(xp: np.ndarray, kernel, stride, z0: int, z1: int, out_hw) -> np.ndarray:
-    """Patch columns (N, C*kd*kh*kw, L) of output depth rows z0..z1 of a
-    padded NCDHW array, copied out of a strided view (for a 1x1x1 stride-1
-    kernel on a contiguous array, the view itself)."""
-    n, c = xp.shape[:2]
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
-    ho, wo = out_hw
-    sn, sc, s2, s3, s4 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp[:, :, z0 * sd :],
-        shape=(n, c, kd, kh, kw, z1 - z0, ho, wo),
-        strides=(sn, sc, s2, s3, s4, s2 * sd, s3 * sh, s4 * sw),
-        writeable=False,
-    )
-    return view.reshape(n, c * kd * kh * kw, (z1 - z0) * ho * wo)
-
-
 def _pad(a: np.ndarray, pads) -> np.ndarray:
     """Zero-pad the spatial axes of an NCDHW array by a (before, after) pair
-    per axis, where a negative amount crops; `a` itself when every amount
-    is 0."""
+    per axis; `a` itself when every amount is 0."""
     if not any(b or e for b, e in pads):
         return a
-    crop = tuple(slice(max(-b, 0), n - max(-e, 0)) for (b, e), n in zip(pads, a.shape[2:]))
-    widths = tuple((max(b, 0), max(e, 0)) for b, e in pads)
-    return np.pad(a[(slice(None), slice(None)) + crop], ((0, 0), (0, 0)) + widths)
+    return np.pad(a, ((0, 0), (0, 0)) + tuple(pads))
 
 
-def _correlate(xp: np.ndarray, w2: np.ndarray, kernel, stride, out_spatial) -> np.ndarray:
-    """Cross-correlate a padded NCDHW array with kernels flattened to
-    (C_out, C_in*kd*kh*kw), one depth slab of patch columns at a time.
+def _phase_grid(x: np.ndarray, kernel, stride, padding, out_spatial) -> np.ndarray:
+    """The zero-padded NCDHW array `x` split into the stride phases a conv
+    reads, as one array (N, md, mh, mw, C, Dq, Hq, Wq).
 
-    Each slab's product is written straight into its slice of the output.
-    For a 1x1x1 stride-1 kernel the columns are a view of the input, so the
-    conv is one channel-mixing matmul with no copy.
+    Along an axis with kernel k and stride s there are m = min(s, k)
+    phases: phase r holds the padded voxels r::s, of which the conv reads
+    Q = O - 1 + ceil(k / s), and tap a reads phase a % m at offset a // m.
+    At stride 1 this is the padded array itself, with unit phase axes; it is
+    built in one copy, and without padding it is a view of `x`.
     """
-    n = xp.shape[0]
-    cout = w2.shape[0]
-    dtype = np.result_type(xp.dtype, w2.dtype)
+    n, c = x.shape[:2]
+    if stride == (1, 1, 1) and not any(padding):
+        return x[:, None, None, None]
+    counts = [min(s, k) for k, s in zip(kernel, stride)]
+    extents = [o - 1 + -(-k // s) for o, k, s in zip(out_spatial, kernel, stride)]
+    grid = np.zeros((n, *counts, c, *extents), dtype=x.dtype)
+    for phase in itertools.product(*map(range, counts)):
+        src, dst = [slice(None)] * 2, [slice(None), *phase, slice(None)]
+        for r, s, p, d, q in zip(phase, stride, padding, x.shape[2:], extents):
+            # Phase voxel j is input voxel r + s*j - p: copy the ones inside.
+            j0 = max(0, -((r - p) // s))
+            j1 = max(j0, min(q, (d - 1 + p - r) // s + 1))
+            src.append(slice(r + s * j0 - p, r + s * j1 - p, s))
+            dst.append(slice(j0, j1))
+        grid[tuple(dst)] = x[tuple(src)]
+    return grid
+
+
+def _shift_stacks(xq: np.ndarray, kernel, out_spatial, origin=(0, 0, 0)):
+    """Stacked in-plane shifts of a phase grid (see `_phase_grid`) for a
+    correlation, per sample and per chunk of output depth rows.
+
+    On the flat (Dq, Hq, Wq) grid of a phase, output voxel v of the box at
+    `origin` reads tap (a, b, c) at v + (a//md)*Hq*Wq + (b//mh)*Wq + c//mw
+    of phase (a % md, b % mh, c % mw).  Per depth phase and in-plane tap
+    (b, c) that slice is copied into one reused buffer, rows ordered (depth
+    phase, b, c, channel), so the taps at depth offset a' are leading rows
+    of the column slice [a'*Hq*Wq, a'*Hq*Wq + cols) for the chunk's first
+    `cols` grid voxels.  Grid voxels past the output's rows and width are
+    junk, for the callers to crop or zero.  With a single stacked shift the
+    stack is a view of the input, not a copy.  Yields (sample, z0, z1,
+    stack, cols); a chunk holds at least one depth row and otherwise keeps
+    the buffer within _SHIFT_BUF_BYTES.
+    """
+    n, md, mh, mw, c, _, hq, wq = xq.shape
+    kd, kh, kw = kernel
+    do, ho, wo = out_spatial
+    plane = hq * wq
+    flat = xq.reshape(n, md, mh, mw, c, -1)
+    start = (origin[0] * hq + origin[1]) * wq + origin[2]
+    shifts = [
+        (r, b % mh, e % mw, b // mh * wq + e // mw)
+        for r in range(md)
+        for b in range(kh)
+        for e in range(kw)
+    ]
+    reach = (kd - 1) // md  # depth rows read past a chunk's last output row
+    if len(shifts) == 1:
+        z_step = do
+    else:
+        rows = len(shifts) * c
+        z_step = max(1, _SHIFT_BUF_BYTES // (rows * plane * xq.dtype.itemsize) - reach)
+        z_step = min(z_step, do)
+        buf = np.empty((len(shifts), c, (z_step + reach) * plane), dtype=xq.dtype)
+    for i in range(n):
+        for z0 in range(0, do, z_step):
+            z1 = min(z0 + z_step, do)
+            cols = (z1 - z0 - 1) * plane + (ho - 1) * wq + wo
+            span = reach * plane + cols
+            at = start + z0 * plane
+            if len(shifts) == 1:
+                stack = flat[i, 0, 0, 0, :, at : at + span]
+            else:
+                for j, (r, bh, bw, s) in enumerate(shifts):
+                    buf[j, :, :span] = flat[i, r, bh, bw, :, at + s : at + s + span]
+                stack = buf.reshape(rows, -1)[:, :span]
+            yield i, z0, z1, stack, cols
+
+
+def _correlate(xq: np.ndarray, weight: np.ndarray, out_spatial, origin=(0, 0, 0)) -> np.ndarray:
+    """Cross-correlation of the box of a phase grid (see `_phase_grid`) that
+    starts at `origin`, with kernels (C_out, C_in, kd, kh, kw).
+
+    One GEMM per depth offset, on the stacked shifts of `_shift_stacks`,
+    accumulates the output on the (Do, Hq, Wq) grid, which is cropped chunk
+    by chunk into the output.
+    """
+    n, md = xq.shape[:2]
+    hq, wq = xq.shape[-2:]
+    cout, _, kd = weight.shape[:3]
+    ho, wo = out_spatial[1:]
+    plane = hq * wq
+    dtype = np.result_type(xq.dtype, weight.dtype)
+    # The taps of each depth offset, columns ordered as the stack's rows.
+    taps = [
+        weight[:, :, a : a + md].transpose(0, 2, 3, 4, 1).reshape(cout, -1)
+        for a in range(0, kd, md)
+    ]
     out = np.empty((n, cout) + tuple(out_spatial), dtype=dtype)
-    hw = out_spatial[1] * out_spatial[2]
-    flat = out.reshape(n, cout, -1)
-    for z0, z1 in _depth_slabs(n, w2.shape[1], out_spatial, dtype.itemsize):
-        cols = _slab_cols(xp, kernel, stride, z0, z1, out_spatial[1:])
-        np.matmul(w2, cols, out=flat[:, :, z0 * hw : z1 * hw])
+    # Without in-plane padding the grid is the output itself.
+    direct = (ho, wo) == (hq, wq)
+    shape = None
+    for i, z0, z1, stack, cols in _shift_stacks(xq, weight.shape[2:], out_spatial, origin):
+        if shape is None:  # the first chunk is the largest
+            shape = (cout, (z1 - z0) * plane)
+            acc = None if direct else np.empty(shape, dtype=dtype)
+            tmp = np.empty(shape, dtype=dtype) if len(taps) > 1 else None
+        grid = out[i].reshape(cout, -1)[:, z0 * plane : z1 * plane] if direct else acc[:, :cols]
+        for a, tap in enumerate(taps):
+            part = stack[: tap.shape[1], a * plane : a * plane + cols]
+            if a == 0:
+                np.matmul(tap, part, out=grid)
+            else:
+                np.matmul(tap, part, out=tmp[:, :cols])
+                grid += tmp[:, :cols]
+        if not direct:
+            out[i, :, z0:z1] = acc.reshape(cout, -1, hq, wq)[:, : z1 - z0, :ho, :wo]
     return out
 
 
-def _weight_grad(xp: np.ndarray, go: np.ndarray, kernel, stride) -> np.ndarray:
-    """d(loss)/d(kernels) as (C_out, C_in*kd*kh*kw), rebuilding the forward
-    pass's patch columns slab by slab instead of keeping them."""
-    n, cout = go.shape[:2]
-    out_spatial = go.shape[2:]
-    ckk = xp.shape[1] * int(np.prod(kernel))
-    # Accumulated transposed: (ckk, L) @ (L, C_out) measured about 3x faster
-    # than (C_out, L) @ (L, ckk) with the columns as the transposed operand
+def _weight_grad(xq: np.ndarray, go: np.ndarray, kernel) -> np.ndarray:
+    """d(loss)/d(kernels) of a conv as (C_out, C_in, kd, kh, kw): the forward
+    pass's stacked-shift product on its phase grid, transposed, against the
+    output gradient laid onto the (Do, Hq, Wq) grid with zero border
+    columns."""
+    n, cout, do, ho, wo = go.shape
+    md = xq.shape[1]
+    hq, wq = xq.shape[-2:]
+    kd, kh, kw = kernel
+    plane = hq * wq
+    rows = kh * kw * xq.shape[4]
+    if (ho, wo) == (hq, wq):
+        grid = go.reshape(n, cout, -1)
+    else:
+        grid = np.zeros((n, cout, do, hq, wq), dtype=go.dtype)
+        grid[..., :ho, :wo] = go
+        grid = grid.reshape(n, cout, -1)
+    # Accumulated transposed: (rows, L) @ (L, C_out) measured about 3x faster
+    # than (C_out, L) @ (L, rows) with the stack as the transposed operand
     # (one OpenBLAS thread, x86-64).
-    gw_t = np.zeros((ckk, cout), dtype=go.dtype)
-    for z0, z1 in _depth_slabs(n, ckk, out_spatial, go.dtype.itemsize):
-        cols = _slab_cols(xp, kernel, stride, z0, z1, out_spatial[1:])
-        g = go[:, :, z0:z1].reshape(n, cout, -1)
-        gw_t += np.matmul(cols, g.transpose(0, 2, 1)).sum(axis=0)
-    return gw_t.T
+    gw_t = np.zeros((kd * rows, cout), dtype=go.dtype)
+    for i, z0, _, stack, cols in _shift_stacks(xq, kernel, go.shape[2:]):
+        g = grid[i, :, z0 * plane : z0 * plane + cols].T
+        for a in range(0, kd, md):
+            at = a // md * plane
+            part = stack[: min(md, kd - a) * rows, at : at + cols]
+            gw_t[a * rows : a * rows + part.shape[0]] += part @ g
+    return gw_t.reshape(kd, kh, kw, -1, cout).transpose(4, 3, 0, 1, 2)
 
 
 def _input_grad(go: np.ndarray, weight: np.ndarray, in_spatial, stride, padding) -> np.ndarray:
-    """d(loss)/d(input) of a conv as forward correlations, one per stride
+    """d(loss)/d(input) of a conv as stride-1 correlations, one per stride
     phase of the input grid.
 
     Along an axis with stride s and padding p, the input voxels r::s meet
     only the kernel taps w[c::s], where t, c = divmod(r + p, s).  Their
     gradient is the stride-1 correlation of the output gradient, shifted by
-    t, with the flipped, channel-transposed sub-kernel.  Phases whose taps
-    or voxels are empty keep a zero gradient.  Stride 1 is a single phase:
-    the full correlation with the output gradient padded by k-1-p.
+    t, with the flipped, channel-transposed sub-kernel: m taps over j
+    voxels read the output gradient padded by m-1-t before.  The output
+    gradient is padded once, by the largest amounts any phase needs, and
+    each phase reads its own box of that copy.  Phases whose taps or voxels
+    are empty keep a zero gradient.  Stride 1 is a single phase: the full
+    correlation with the output gradient padded by k-1-p.
     """
-    cin = weight.shape[1]
-    per_axis = []
+    per_axis, pads = [], []
     for d, k, s, p, o in zip(in_spatial, weight.shape[2:], stride, padding, go.shape[2:]):
         phases = []
         for r in range(s):
             t, c = divmod(r + p, s)
             m, j = len(range(c, k, s)), len(range(r, d, s))
             if m and j:
-                phases.append((slice(r, None, s), slice(c, None, s), (m - 1 - t, j + t - o), j))
-        per_axis.append(phases)
+                phases.append((slice(r, None, s), slice(c, None, s), m - 1 - t, j, m))
+        before = max([0] + [b for _, _, b, _, _ in phases])
+        after = max([0] + [j + m - 1 - b - o for _, _, b, j, m in phases])
+        per_axis.append([(v, c, before - b, j) for v, c, b, j, _ in phases])
+        pads.append((before, after))
+    gop = _pad(go, pads)
     gx = None
     if stride != (1, 1, 1):
-        gx = np.zeros((go.shape[0], cin) + in_spatial, dtype=go.dtype)
+        gx = np.zeros(go.shape[:1] + weight.shape[1:2] + tuple(in_spatial), dtype=go.dtype)
     for phase in itertools.product(*per_axis):
-        voxels, taps, pads, extents = zip(*phase)
+        voxels, taps, origin, extents = zip(*phase)
         sub = weight[(slice(None), slice(None)) + taps][:, :, ::-1, ::-1, ::-1]
-        w2 = sub.transpose(1, 0, 2, 3, 4).reshape(cin, -1)
-        g = _correlate(_pad(go, pads), w2, sub.shape[2:], (1, 1, 1), extents)
+        g = _correlate(gop[:, None, None, None], sub.transpose(1, 0, 2, 3, 4), extents, origin)
         if gx is None:
             return g
         gx[(slice(None), slice(None)) + voxels] = g
@@ -171,9 +259,10 @@ def conv3d(
         bias: optional (C_out,) offsets added per output channel.
         stride / padding: int or per-axis triple; padding is symmetric zeros.
 
-    Patch columns are built one depth slab at a time and dropped after use,
-    in the forward and the backward pass alike; the tape keeps only the
-    padded input and the kernels.
+    Every conv runs as stacked-shift GEMMs on the stride phases of the
+    padded input (`_phase_grid`, `_correlate`).  The shift buffer is dropped
+    after use, in the forward and the backward pass alike; the tape keeps
+    only the phase grid and the kernels.
     """
     if x.ndim != 5:
         raise ValueError(f"conv3d input must be 5-d NCDHW, got shape {x.shape}")
@@ -192,19 +281,18 @@ def conv3d(
     kernel = (kd, kh, kw)
     out_spatial = conv3d_output_shape((d, h, w), kernel, stride, padding)
 
-    xp = _pad(x.data, [(p, p) for p in padding])
-    w2 = weight.data.reshape(cout, -1)
-    out_data = _correlate(xp, w2, kernel, stride, out_spatial)
+    xq = _phase_grid(x.data, kernel, stride, padding, out_spatial)
+    out_data = _correlate(xq, weight.data, out_spatial)
     if bias is not None:
         out_data += bias.data[None, :, None, None, None]
 
     def grad_fn(go):
         if bias is not None and bias.requires_grad:
             accumulate_grad(bias, go.sum(axis=(0, 2, 3, 4)))
-        # The weight-gradient columns are freed on return, before the
-        # input-gradient columns are built.
+        # The weight-gradient buffers are freed on return, before the
+        # input-gradient buffers are built.
         if weight.requires_grad:
-            accumulate_grad(weight, _weight_grad(xp, go, kernel, stride).reshape(weight.shape))
+            accumulate_grad(weight, _weight_grad(xq, go, kernel))
         if x.requires_grad:
             accumulate_grad(x, _input_grad(go, weight.data, (d, h, w), stride, padding))
 

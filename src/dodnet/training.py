@@ -10,16 +10,14 @@ temporary file that replaces the target only once complete.
 
 from __future__ import annotations
 
-import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import Dataset, LabeledSample, Volume, sample_patch
+from .data import Dataset, LabeledSample, Volume, _replaced_on_success, sample_patch
 from .losses import TaskDescriptor, masked_task_loss, targets_from_labels
 from .metrics import dice_score
 from .model import ModelConfig, Module, build_model
@@ -97,7 +95,8 @@ def train_step(model: Module, batch: Batch, optimizer: SGDMomentum, lr: float) -
     """
     optimizer.zero_grad()
     tasks = sorted({task.name for _, _, task in batch})
-    with Tape():
+    # Overflow and NaN are left to the finite checks, which name the cause.
+    with Tape(), np.errstate(over="ignore", invalid="ignore"):
         loss, _ = batch_loss(model, batch)
         value = float(loss.data)
         if not np.isfinite(value):
@@ -268,21 +267,6 @@ class CheckpointData:
                 raise ValueError(f"checkpoint config is missing {f.name!r}")
             kwargs[f.name] = int(self.config[f.name])
         return ModelConfig(**kwargs)
-
-
-@contextmanager
-def _replaced_on_success(path: Path):
-    """Binary handle on a temporary sibling of `path` that replaces `path`
-    only when the block completes; on an error it is removed and any
-    previous file at `path` is left as it was."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _write_record(fh, name: str, array: np.ndarray) -> None:

@@ -204,7 +204,7 @@ def test_malformed_manifest_is_reported(run_dir, data_dir, tmp_path, capsys, cor
     assert "Traceback" not in err
 
 
-def test_diverged_training_is_reported(data_dir, tmp_path, capsys):
+def test_diverged_training_is_reported(data_dir, tmp_path, capsys, recwarn):
     out = tmp_path / "run"
     rc = main(["train", "--data", str(data_dir), "--epochs", "1", "--steps", "3",
                "--batch", "1", "--patch", PATCH, "--lr", "1e30", "--out", str(out)])
@@ -213,6 +213,7 @@ def test_diverged_training_is_reported(data_dir, tmp_path, capsys):
     assert err.startswith("error:") and "diverged" in err
     assert "Traceback" not in err
     assert not list(out.glob("*.ckpt"))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unknown_flag_exits_with_usage_error():

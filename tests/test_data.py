@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from dodnet import data
 from dodnet.data import (
     MANIFEST_NAME,
     TEST_SEED_BASE,
@@ -247,6 +249,20 @@ class TestVolumeFiles:
         with pytest.raises(ValueError, match="missing keys"):
             read_volume(tmp_path / "m")
 
+    def test_non_finite_image_rejected(self, tmp_path):
+        vol = self._volume()
+        vol.image[1, 2, 3] = np.nan
+        write_volume(vol, tmp_path / "v")
+        with pytest.raises(ValueError, match=r"v\.img holds non-finite"):
+            read_volume(tmp_path / "v")
+
+    def test_label_outside_known_classes_rejected(self, tmp_path):
+        vol = self._volume()
+        vol.labels[0, 1, 2] = 3
+        write_volume(vol, tmp_path / "v")
+        with pytest.raises(ValueError, match=r"v\.lbl holds label 3"):
+            read_volume(tmp_path / "v")
+
 
 class TestDatasetAssembly:
     def test_build_counts_and_splits(self):
@@ -272,6 +288,25 @@ class TestDatasetAssembly:
                     assert np.array_equal(a.image, b.image)
                     assert np.array_equal(a.labels, b.labels)
                     assert a.task == b.task
+
+    def test_failed_save_keeps_the_previous_manifest(self, tmp_path, monkeypatch):
+        save_dataset(build_dataset(two_task_spec(master_seed=9), 1, 0, shape=(8, 16, 16)), tmp_path)
+        manifest = (tmp_path / MANIFEST_NAME).read_bytes()
+        calls, real_replace = [], os.replace
+
+        def replace_then_fail(src, dst):
+            calls.append(dst)
+            if len(calls) == 7:  # the third of four volumes
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        newer = build_dataset(two_task_spec(master_seed=4), 2, 0, shape=(8, 16, 16))
+        monkeypatch.setattr(data.os, "replace", replace_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(newer, tmp_path)
+        assert len(calls) == 7
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == manifest
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_load_requires_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=MANIFEST_NAME):

@@ -1,5 +1,6 @@
 """Tensor core: forward semantics against brute-force oracles and pinned values."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -109,10 +110,60 @@ class TestConv3d:
             return out.data, xt.grad, wt.grad, bt.grad
 
         whole = run()
-        monkeypatch.setattr(ops, "_COL_LIMIT_BYTES", 1)  # force one z-row per slab
+        monkeypatch.setattr(ops, "_SHIFT_BUF_BYTES", 1)  # force one z-row per shift chunk
         slabbed = run()
         for a, c in zip(whole, slabbed):
             np.testing.assert_allclose(a, c, rtol=1e-12)
+
+    @pytest.mark.parametrize("buffer_bytes", [None, 1], ids=["default", "one-depth-row"])
+    def test_phase_grid_kernel_matches_the_oracle(self, monkeypatch, buffer_bytes):
+        # Forward, weight and input gradients of the stacked-shift kernel
+        # against the nested loops: the weight gradient of tap (a, b, c) sums
+        # the output gradient against the padded input read at that tap's
+        # offset with the conv's stride, and the input gradient of a stride-1
+        # conv is the correlation of the output gradient, padded by k-1-p
+        # (cropped where that is negative), with the flipped, transposed
+        # kernels.
+        if buffer_bytes is not None:
+            monkeypatch.setattr(ops, "_SHIFT_BUF_BYTES", buffer_bytes)
+        rng = np.random.default_rng(31)
+        for case in range(36):
+            kernel = tuple(int(rng.integers(1, 4)) for _ in range(3))
+            stride = tuple(int(rng.integers(1, 4)) for _ in range(3)) if case % 2 else (1, 1, 1)
+            padding = tuple(int(rng.integers(0, k + 1)) for k in kernel)
+            spatial = tuple(
+                max(int(rng.integers(1, 8)), k - 2 * p) for k, p in zip(kernel, padding)
+            )
+            x = rng.normal(size=(2, 2) + spatial)
+            w = rng.normal(size=(3, 2) + kernel)
+            out = conv3d_oracle(x, w, stride=stride, padding=padding)
+            go = rng.normal(size=out.shape)
+            xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+            gw = np.empty_like(w)
+            for tap in itertools.product(*(range(k) for k in kernel)):
+                box = tuple(
+                    slice(a, a + s * (o - 1) + 1, s)
+                    for a, s, o in zip(tap, stride, out.shape[2:])
+                )
+                seen = xp[(Ellipsis,) + box]
+                gw[(slice(None), slice(None)) + tap] = np.einsum("nodhw,ncdhw->oc", go, seen)
+            msg = f"case {case}: kernel {kernel}, stride {stride}, padding {padding}, extents {spatial}"
+            tol = dict(rtol=1e-12, atol=1e-12, err_msg=msg)
+            xq = ops._phase_grid(x, kernel, stride, padding, out.shape[2:])
+            np.testing.assert_allclose(ops._correlate(xq, w, out.shape[2:]), out, **tol)
+            np.testing.assert_allclose(ops._weight_grad(xq, go, kernel), gw, **tol)
+            if stride != (1, 1, 1):
+                continue
+            gop = go
+            for axis, (k, p) in enumerate(zip(kernel, padding), start=2):
+                q = k - 1 - p
+                if q >= 0:
+                    gop = np.pad(gop, [(0, 0)] * axis + [(q, q)] + [(0, 0)] * (4 - axis))
+                else:
+                    gop = np.take(gop, range(-q, gop.shape[axis] + q), axis=axis)
+            wt = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            got_gx = ops._input_grad(go, w, spatial, stride, padding)
+            np.testing.assert_allclose(got_gx, conv3d_oracle(gop, wt), **tol)
 
     def test_input_gradient_is_the_adjoint_of_the_oracle(self):
         # <conv(x), g> == <x, conv^T(g)> for every stride phase, including
