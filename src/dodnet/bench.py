@@ -1,20 +1,16 @@
-"""Parameter and FLOP accounting plus a wall-clock head-cost benchmark.
+"""Parameter and FLOP accounting for the head-cost claim.
 
 The analytic counter walks the same layer arithmetic the builders use and
 reports exact multiply-accumulate counts (bias additions tracked separately).
 Normalization, activations, and interpolation are not counted: the
 architectures under comparison share them almost one-for-one, and the claim
 being measured is about convolution work.
-
-Wall times measure segmenting all m tasks on a single input, per
-architecture, as medians over repeated runs after one warm-up pass.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +21,6 @@ from .model import (
     head_layer_shapes,
     head_param_count,
 )
-from .tensor import Tensor
-
-ARCHITECTURES = ("dodnet", "multi_head", "cond_input")
-CSV_HEADER = "arch,tasks,params,macs,bias_adds,median_seconds,head_backbone_ratio"
 
 
 @dataclass(frozen=True)
@@ -179,101 +171,3 @@ def head_backbone_ratio(
     dynamic = flops.macs["controller"] + flops.macs["heads"]
     return dynamic / backbone
 
-
-@dataclass
-class BenchRow:
-    arch: str
-    tasks: int
-    params: int
-    macs: int
-    bias_adds: int
-    median_seconds: float
-    head_backbone_ratio: float
-
-
-@dataclass
-class BenchReport:
-    input_shape: Tuple[int, int, int]
-    repetitions: int
-    parallel: bool
-    rows: List[BenchRow]
-
-    def csv_lines(self) -> List[str]:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.arch},{r.tasks},{r.params},{r.macs},{r.bias_adds},"
-                f"{r.median_seconds:.6f},{r.head_backbone_ratio:.6f}"
-            )
-        return lines
-
-    def table(self) -> str:
-        header = (
-            f"{'arch':<12}{'params':>12}{'MACs':>16}{'median s':>12}{'head/backbone':>15}"
-        )
-        rows = [
-            f"{r.arch:<12}{r.params:>12}{r.macs:>16}{r.median_seconds:>12.4f}"
-            f"{r.head_backbone_ratio:>15.6f}"
-            for r in self.rows
-        ]
-        shape = "x".join(str(n) for n in self.input_shape)
-        mode = "parallel" if self.parallel else "single-thread request"
-        title = (
-            f"segment-all-{self.rows[0].tasks}-tasks on {shape} "
-            f"({self.repetitions} reps, {mode})"
-        )
-        return "\n".join([title, header] + rows)
-
-
-def run_bench(
-    config: ModelConfig,
-    num_tasks: int,
-    input_shape: Sequence[int],
-    repetitions: int = 5,
-    parallel: bool = False,
-    seed: int = 0,
-) -> BenchReport:
-    """Time all three architectures segmenting every task on one volume."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if config.num_tasks != num_tasks:
-        raise ValueError(
-            f"config builds {config.num_tasks} tasks but the benchmark was asked "
-            f"to time {num_tasks}"
-        )
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(1, 1) + tuple(input_shape)).astype(np.float32))
-    ratio = head_backbone_ratio(config, input_shape, num_tasks)
-    rows = []
-    for arch in ARCHITECTURES:
-        try:
-            model = build_model(arch, config, seed=seed)
-            model.segment_all_tasks(x)  # warm-up
-            times = []
-            for _ in range(repetitions):
-                t0 = time.perf_counter()
-                model.segment_all_tasks(x)
-                times.append(time.perf_counter() - t0)
-        except MemoryError as exc:
-            raise MemoryError(
-                f"benchmark ran out of memory building or running {arch!r} "
-                f"at input {tuple(input_shape)}"
-            ) from exc
-        flops = count_flops(config, input_shape, arch, num_tasks)
-        rows.append(
-            BenchRow(
-                arch=arch,
-                tasks=num_tasks,
-                params=model.param_count(),
-                macs=flops.total_macs,
-                bias_adds=flops.total_adds,
-                median_seconds=float(np.median(times)),
-                head_backbone_ratio=ratio if arch == "dodnet" else float("nan"),
-            )
-        )
-    return BenchReport(
-        input_shape=tuple(input_shape),
-        repetitions=repetitions,
-        parallel=parallel,
-        rows=rows,
-    )

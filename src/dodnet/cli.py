@@ -1,15 +1,39 @@
 """Command-line entry points: gen-data, train, eval, predict, bench.
 
-Heavy imports stay inside the handlers so that ``--help`` is instant and the
-bench subcommand can pin BLAS thread counts before numpy loads.
+``bench`` prints the exact parameter and MAC counts of every architecture;
+wall-clock timing is left to the repository benchmark (``benchmarks/run.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
+
+import numpy as np
+
+from .bench import count_flops, count_params, head_backbone_ratio
+from .data import (
+    PhantomSpec,
+    Volume,
+    build_dataset,
+    default_recipes,
+    load_dataset,
+    read_volume,
+    save_dataset,
+    write_volume,
+)
+from .model import ARCHITECTURES, build_model, desk_config, full_config
+from .training import (
+    TrainConfig,
+    TrainingDiverged,
+    evaluate,
+    load_checkpoint,
+    model_from_checkpoint,
+    sliding_window_predict,
+    train,
+    transfer_init,
+)
 
 
 def _triple(text: str):
@@ -47,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a model on a generated dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--config", choices=("small", "full"), default="small")
-    tr.add_argument("--arch", choices=("dodnet", "multi_head", "cond_input"), default="dodnet")
+    tr.add_argument("--arch", choices=tuple(ARCHITECTURES), default="dodnet")
     tr.add_argument("--epochs", type=int, default=20)
     tr.add_argument("--steps", type=int, default=10, help="steps per epoch")
     tr.add_argument("--batch", type=int, default=2)
@@ -72,31 +96,20 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True, help="output base path")
     pr.add_argument("--window", type=_triple, default=(16, 32, 32))
 
-    be = sub.add_parser("bench", help="head-cost benchmark across architectures")
+    be = sub.add_parser("bench", help="exact parameter and MAC counts per architecture")
     be.add_argument("--config", choices=("small", "full"), default="small")
     be.add_argument("--tasks", type=int, default=7)
     be.add_argument("--input", type=_triple, default=(64, 128, 128))
-    be.add_argument("--reps", type=int, default=5)
-    be.add_argument(
-        "--parallel",
-        action="store_true",
-        help="let the BLAS backend use all cores (default requests one thread)",
-    )
-    be.add_argument("--csv", help="also write machine-readable lines to this file")
     return parser
 
 
 def _model_config(preset: str, num_tasks: int):
-    from .model import desk_config, full_config
-
     if preset == "full":
         return full_config(num_tasks=num_tasks)
     return desk_config(num_tasks=num_tasks)
 
 
 def _cmd_gen_data(args) -> int:
-    from .data import PhantomSpec, build_dataset, default_recipes, save_dataset
-
     spec = PhantomSpec(
         recipes=default_recipes(args.tasks),
         master_seed=args.seed,
@@ -111,10 +124,6 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .data import load_dataset
-    from .model import build_model
-    from .training import TrainConfig, TrainingDiverged, load_checkpoint, train, transfer_init
-
     ds = load_dataset(args.data)
     config = _model_config(args.config, num_tasks=len(ds.tasks))
     if args.init_from:
@@ -145,9 +154,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .data import load_dataset
-    from .training import evaluate, load_checkpoint, model_from_checkpoint
-
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     ds = load_dataset(args.data)
     metrics = evaluate(model, ds, window=args.window, split=args.split)
@@ -161,11 +167,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    import numpy as np
-
-    from .data import Volume, read_volume, write_volume
-    from .training import load_checkpoint, model_from_checkpoint, sliding_window_predict
-
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     volume = read_volume(args.input)
     probs = sliding_window_predict(model, volume, args.task - 1, args.window)
@@ -178,20 +179,18 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if not args.parallel and "numpy" not in sys.modules:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
-    from .bench import run_bench
-
     config = _model_config(args.config, num_tasks=args.tasks)
-    report = run_bench(
-        config, args.tasks, args.input, repetitions=args.reps, parallel=args.parallel
-    )
-    print(report.table())
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report.csv_lines()) + "\n")
-        print(f"csv written to {args.csv}")
+    ratio = head_backbone_ratio(config, args.input, args.tasks)
+    shape = "x".join(str(n) for n in args.input)
+    print(f"segment all {args.tasks} tasks on {shape}, {args.config} config")
+    print(f"{'arch':<12}{'params':>14}{'MACs':>20}{'bias adds':>16}{'head/backbone':>15}")
+    for arch in ARCHITECTURES:
+        flops = count_flops(config, args.input, arch, args.tasks)
+        ratio_cell = f"{ratio:.6g}" if arch == "dodnet" else "-"
+        print(
+            f"{arch:<12}{count_params(config, arch):>14,}{flops.total_macs:>20,}"
+            f"{flops.total_adds:>16,}{ratio_cell:>15}"
+        )
     return 0
 
 

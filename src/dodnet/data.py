@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -305,7 +306,9 @@ def _replaced_on_success(path: Path):
         raise
 
 
-def write_volume(volume: Volume, base: Path) -> None:
+def write_volume(volume: Volume, base: Path) -> Dict[str, int]:
+    """Write the header and payload files; returns the CRC32 of each payload
+    (``.img`` and, when labeled, ``.lbl``)."""
     base = Path(base)
     shape = ",".join(str(n) for n in volume.shape)
     spacing = ",".join(repr(s) for s in volume.spacing)
@@ -327,6 +330,7 @@ def write_volume(volume: Volume, base: Path) -> None:
     for suffix, payload in payloads.items():
         with _replaced_on_success(base.with_suffix(suffix)) as fh:
             fh.write(payload)
+    return {suffix: zlib.crc32(p) for suffix, p in payloads.items() if suffix != ".hdr"}
 
 
 def _parse_header(path: Path) -> Dict[str, str]:
@@ -423,7 +427,12 @@ def build_dataset(
 
 
 def save_dataset(ds: Dataset, out_dir: Path) -> Path:
-    """Write all volumes plus a JSON manifest; returns the manifest path."""
+    """Write all volumes plus a JSON manifest; returns the manifest path.
+
+    Each manifest entry records the CRC32 of its volume's payloads, so a
+    save that fails partway cannot leave a manifest over volumes it does
+    not describe without ``load_dataset`` noticing.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -431,10 +440,16 @@ def save_dataset(ds: Dataset, out_dir: Path) -> Path:
         for split in ("train", "test"):
             for i, sample in enumerate(ds.split(task.task_id, split)):
                 name = f"{task.name}-{split}-{i:03d}"
-                write_volume(sample.volume, out_dir / name)
+                crc32 = write_volume(sample.volume, out_dir / name)
                 seed = i if split == "train" else TEST_SEED_BASE + i
                 entries.append(
-                    {"name": name, "task_id": task.task_id, "split": split, "seed": seed}
+                    {
+                        "name": name,
+                        "task_id": task.task_id,
+                        "split": split,
+                        "seed": seed,
+                        "crc32": crc32,
+                    }
                 )
     manifest = {
         "version": FORMAT_VERSION,
@@ -470,7 +485,8 @@ def _require(record, key: str, where: str):
 def load_dataset(data_dir: Path) -> Dataset:
     """Read a manifest directory back into memory.
 
-    The whole manifest is validated before any volume is read.
+    The whole manifest is validated before any volume is read. Entries that
+    carry payload CRC32s are checked against the volumes read.
     """
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
@@ -496,6 +512,9 @@ def load_dataset(data_dir: Path) -> Dataset:
             raise ValueError(f"manifest {where} names unknown task id {entry['task_id']!r}")
         if _require(entry, "split", where) not in ("train", "test"):
             raise ValueError(f"manifest {where} has unknown split {entry['split']!r}")
+        crc32 = entry.get("crc32", {})
+        if not isinstance(crc32, dict) or not set(crc32) <= {".img", ".lbl"}:
+            raise ValueError(f"manifest {where} has a malformed 'crc32' record")
     # The manifest does not carry geometry; rebuild a placeholder spec that
     # preserves task identity and the recorded global knobs.
     recipes = tuple(
@@ -515,6 +534,13 @@ def load_dataset(data_dir: Path) -> Dataset:
         volume = read_volume(data_dir / entry["name"])
         if volume.labels is None:
             raise ValueError(f"sample {entry['name']} has no label payload")
+        payloads = {".img": np.ascontiguousarray(volume.image, "<f4"), ".lbl": volume.labels}
+        for suffix, want in entry.get("crc32", {}).items():
+            if zlib.crc32(payloads[suffix]) != want:
+                raise ValueError(
+                    f"sample {entry['name']}: {entry['name']}{suffix} does not match "
+                    f"its CRC32 in the manifest (changed, or a save failed partway)"
+                )
         task = tasks[entry["task_id"]]
         ds.samples[task.task_id][entry["split"]].append(
             LabeledSample(volume, task, entry["split"])

@@ -395,10 +395,11 @@ class DodNet(Module):
     """Single backbone whose segmentation head is generated per sample by a
     task-and-image conditioned controller."""
 
+    arch = "dodnet"
+
     def __init__(self, config: ModelConfig, seed: int = 0, condition_on_task: bool = True):
         rng = np.random.default_rng(seed)
         self.config = config
-        self.arch = "dodnet"
         self.condition_on_task = condition_on_task
         self.encoder = Encoder(rng, config)
         self.decoder = Decoder(
@@ -464,10 +465,11 @@ class MultiHeadNet(Module):
     """Shared encoder, one half-width decoder (with fixed 2-channel output)
     per task."""
 
+    arch = "multi_head"
+
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.config = config
-        self.arch = "multi_head"
         self.encoder = Encoder(rng, config)
         self.decoders = [
             Decoder(rng, config, out_channels=OUT_CHANNELS, width_divisor=2)
@@ -499,10 +501,11 @@ class CondInputNet(Module):
     """Task one-hot broadcast over space as extra input channels; a single
     fixed head of stacked 1x1x1 convolutions."""
 
+    arch = "cond_input"
+
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.config = config
-        self.arch = "cond_input"
         self.encoder = Encoder(rng, config, in_channels=config.in_channels + config.num_tasks)
         self.decoder = Decoder(
             rng, config, out_channels=config.pre_seg_channels, normalize_output=True
@@ -542,11 +545,10 @@ class CondInputNet(Module):
         return [self.forward(x, int(t)) for t in tasks]
 
 
+ARCHITECTURES = {cls.arch: cls for cls in (DodNet, MultiHeadNet, CondInputNet)}
+
+
 def build_model(arch: str, config: ModelConfig, seed: int = 0, **kwargs) -> Module:
-    if arch == "dodnet":
-        return DodNet(config, seed=seed, **kwargs)
-    if arch == "multi_head":
-        return MultiHeadNet(config, seed=seed)
-    if arch == "cond_input":
-        return CondInputNet(config, seed=seed)
-    raise ValueError(f"unknown architecture {arch!r}")
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}")
+    return ARCHITECTURES[arch](config, seed=seed, **kwargs)

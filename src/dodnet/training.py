@@ -348,6 +348,19 @@ def load_checkpoint(path: Path) -> CheckpointData:
     )
 
 
+def _check_blocks(ckpt: CheckpointData, params: List[Tuple[str, Tensor]], what: str) -> None:
+    """Raise ValueError naming the first parameter whose checkpoint block is
+    missing, misshapen or non-finite; run it before copying any block."""
+    for name, p in params:
+        if name not in ckpt.params:
+            raise ValueError(f"checkpoint is missing {what} {name!r}")
+        block = ckpt.params[name]
+        if block.shape != p.shape:
+            raise ValueError(f"{what} {name!r} has shape {block.shape}, model expects {p.shape}")
+        if not np.isfinite(block).all():
+            raise ValueError(f"{what} {name!r} holds non-finite values")
+
+
 def restore_into(model: Module, ckpt: CheckpointData) -> None:
     """Copy checkpoint parameters into a built model.
 
@@ -355,14 +368,7 @@ def restore_into(model: Module, ckpt: CheckpointData) -> None:
     leaves the model untouched.
     """
     params = model.named_parameters()
-    for name, p in params:
-        if name not in ckpt.params:
-            raise ValueError(f"checkpoint is missing parameter block {name!r}")
-        block = ckpt.params[name]
-        if block.shape != p.shape:
-            raise ValueError(
-                f"parameter block {name!r} has shape {block.shape}, model expects {p.shape}"
-            )
+    _check_blocks(ckpt, params, "parameter block")
     extra = sorted(set(ckpt.params) - {name for name, _ in params})
     if extra:
         raise ValueError(f"checkpoint holds unexpected parameter block {extra[0]!r}")
@@ -388,16 +394,12 @@ def transfer_init(
     fresh initialization; everything stays trainable.
     """
     model = build_model("dodnet", downstream_config, seed=seed)
-    for name, p in model.named_parameters():
-        if not (name.startswith("encoder.") or name.startswith("decoder.")):
-            continue
-        if name not in ckpt.params:
-            raise ValueError(f"pretrained checkpoint lacks backbone block {name!r}")
-        block = ckpt.params[name]
-        if block.shape != p.shape:
-            raise ValueError(
-                f"backbone block {name!r} has shape {block.shape}, downstream config "
-                f"expects {p.shape}"
-            )
-        p.data = block.astype(p.data.dtype)
+    backbone = [
+        (name, p)
+        for name, p in model.named_parameters()
+        if name.startswith(("encoder.", "decoder."))
+    ]
+    _check_blocks(ckpt, backbone, "backbone block")
+    for name, p in backbone:
+        p.data = ckpt.params[name].astype(p.data.dtype)
     return model

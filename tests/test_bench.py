@@ -1,22 +1,13 @@
-"""Analytic cost model and benchmark report checks.
+"""Analytic cost model checks.
 
 The MAC oracles below are rebuilt layer by layer from the architecture
 definition (kernel volume x fan-in x fan-out x output voxels) so they do not
 share arithmetic with the counter under test.
 """
 
-import math
-
 import pytest
 
-from dodnet.bench import (
-    ARCHITECTURES,
-    CSV_HEADER,
-    count_flops,
-    count_params,
-    head_backbone_ratio,
-    run_bench,
-)
+from dodnet.bench import count_flops, count_params, head_backbone_ratio
 from dodnet.model import desk_config, full_config
 
 SHAPE = (8, 16, 16)
@@ -137,39 +128,3 @@ def test_full_scale_parameter_budget():
     total = count_params(full_config(num_tasks=7), "dodnet")
     assert abs(total - 17_300_000) <= 0.1 * 17_300_000
 
-
-def test_run_bench_report_contents():
-    config = desk(num_tasks=2)
-    report = run_bench(config, 2, SHAPE, repetitions=1)
-    assert [r.arch for r in report.rows] == list(ARCHITECTURES)
-    for row in report.rows:
-        assert row.tasks == 2
-        assert row.params == count_params(config, row.arch)
-        assert row.macs == count_flops(config, SHAPE, row.arch, 2).total_macs
-        assert row.median_seconds > 0.0
-    ratios = {r.arch: r.head_backbone_ratio for r in report.rows}
-    assert ratios["dodnet"] == pytest.approx(head_backbone_ratio(config, SHAPE, 2))
-    assert math.isnan(ratios["multi_head"])
-    assert math.isnan(ratios["cond_input"])
-
-
-def test_run_bench_csv_and_table():
-    report = run_bench(desk(num_tasks=2), 2, SHAPE, repetitions=1)
-    lines = report.csv_lines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(ARCHITECTURES)
-    assert lines[1].startswith("dodnet,2,")
-    table = report.table()
-    for arch in ARCHITECTURES:
-        assert arch in table
-    assert "8x16x16" in table
-
-
-def test_run_bench_rejects_mismatched_task_count():
-    with pytest.raises(ValueError, match="asked\\s+to time"):
-        run_bench(desk(num_tasks=2), 3, SHAPE, repetitions=1)
-
-
-def test_run_bench_rejects_zero_repetitions():
-    with pytest.raises(ValueError, match="repetitions"):
-        run_bench(desk(num_tasks=2), 2, SHAPE, repetitions=0)

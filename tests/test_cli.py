@@ -6,9 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
-from dodnet.bench import CSV_HEADER
+from dodnet.bench import count_flops, count_params, head_backbone_ratio
 from dodnet.cli import main
 from dodnet.data import read_volume
+from dodnet.model import ARCHITECTURES, desk_config
+from dodnet.training import load_checkpoint, model_from_checkpoint, save_checkpoint
 
 SHAPE = "12,16,16"
 PATCH = "8,16,16"
@@ -120,19 +122,39 @@ def test_predict_writes_label_volume(run_dir, data_dir, tmp_path):
     assert set(np.unique(result.labels)) <= {0, 1, 2}
 
 
-def test_bench_writes_csv(tmp_path, capsys):
-    csv_path = tmp_path / "bench.csv"
+def test_predict_rejects_non_finite_checkpoint(run_dir, data_dir, tmp_path, capsys):
+    model = model_from_checkpoint(load_checkpoint(run_dir / "final.ckpt"))
+    model.controller.bias.data[:] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", model)
+    out = tmp_path / "pred"
     rc = main(
-        ["bench", "--config", "small", "--tasks", "2", "--input", "8,16,16",
-         "--reps", "1", "--csv", str(csv_path)]
+        ["predict", "--ckpt", str(tmp_path / "nan.ckpt"), "--task", "1",
+         "--in", str(data_dir / "alpha-test-000"), "--out", str(out), "--window", PATCH]
     )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "'controller.bias'" in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("pred*"))
+
+
+def test_bench_prints_exact_cost_table(capsys):
+    config, shape = desk_config(num_tasks=2), (8, 16, 16)
+    rc = main(["bench", "--config", "small", "--tasks", "2", "--input", "8,16,16"])
     assert rc == 0
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 4
-    out = capsys.readouterr().out
-    for arch in ("dodnet", "multi_head", "cond_input"):
-        assert arch in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["arch", "params", "MACs", "bias", "adds", "head/backbone"]
+    rows = {cells[0]: cells[1:] for cells in (line.split() for line in lines[2:])}
+    assert list(rows) == list(ARCHITECTURES)
+    for arch, (params, macs, adds, ratio) in rows.items():
+        flops = count_flops(config, shape, arch, 2)
+        assert int(params.replace(",", "")) == count_params(config, arch)
+        assert int(macs.replace(",", "")) == flops.total_macs
+        assert int(adds.replace(",", "")) == flops.total_adds
+        if arch == "dodnet":
+            assert float(ratio) == pytest.approx(head_backbone_ratio(config, shape, 2), rel=1e-5)
+        else:
+            assert ratio == "-"
 
 
 def test_transfer_restart_resumes_from_checkpoint(run_dir, data_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -307,6 +308,32 @@ class TestDatasetAssembly:
         assert len(calls) == 7
         assert (tmp_path / MANIFEST_NAME).read_bytes() == manifest
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_load_rejects_the_volumes_of_a_failed_save(self, tmp_path, monkeypatch):
+        self.test_failed_save_keeps_the_previous_manifest(tmp_path, monkeypatch)
+        with pytest.raises(ValueError, match="sample alpha-train-000: .*CRC32"):
+            load_dataset(tmp_path)
+
+    def test_flipped_payload_byte_rejected(self, tmp_path):
+        save_dataset(build_dataset(two_task_spec(), 1, 0, shape=(8, 16, 16)), tmp_path)
+        img = tmp_path / "beta-train-000.img"
+        blob = bytearray(img.read_bytes())
+        blob[400] ^= 0x01  # the low mantissa byte: the value stays finite
+        img.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"sample beta-train-000: .*\.img .*CRC32"):
+            load_dataset(tmp_path)
+
+    def test_manifest_without_crcs_still_loads(self, tmp_path):
+        ds = build_dataset(two_task_spec(), 1, 0, shape=(8, 16, 16))
+        save_dataset(ds, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text(encoding="utf-8"))
+        for entry in manifest["samples"]:
+            del entry["crc32"]
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+        back = load_dataset(tmp_path)
+        for task in ds.tasks:
+            (a,), (b,) = ds.split(task.task_id, "train"), back.split(task.task_id, "train")
+            assert np.array_equal(a.image, b.image) and np.array_equal(a.labels, b.labels)
 
     def test_load_requires_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=MANIFEST_NAME):

@@ -325,6 +325,17 @@ class TestCheckpoints:
         for name, p in model.named_parameters():
             assert np.array_equal(p.data, before[name]), name
 
+    def test_non_finite_block_rejected_before_any_copy(self, tmp_path):
+        save_checkpoint(tmp_path / "m.ckpt", DodNet(TINY, seed=1))
+        ckpt = load_checkpoint(tmp_path / "m.ckpt")
+        ckpt.params["controller.bias"][3] = np.nan
+        model = DodNet(TINY, seed=2)
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        with pytest.raises(ValueError, match="'controller.bias' holds non-finite"):
+            restore_into(model, ckpt)
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, before[name]), name
+
     def test_interrupted_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "best.ckpt"
         save_checkpoint(path, DodNet(TINY, seed=1))
@@ -395,6 +406,13 @@ class TestTransfer:
         wider = desk_config(num_tasks=2, base_channels=8)
         with pytest.raises(ValueError, match="backbone block"):
             transfer_init(load_checkpoint(tmp_path / "pre.ckpt"), wider)
+
+    def test_non_finite_backbone_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "pre.ckpt", DodNet(TINY, seed=23))
+        ckpt = load_checkpoint(tmp_path / "pre.ckpt")
+        ckpt.params["decoder.out_conv.weight"].flat[0] = np.inf
+        with pytest.raises(ValueError, match="'decoder.out_conv.weight' holds non-finite"):
+            transfer_init(ckpt, TINY)
 
 
 class TestTrainConfigValidation:
