@@ -25,6 +25,7 @@ from .data import (
 )
 from .model import ARCHITECTURES, build_model, desk_config, full_config
 from .training import (
+    THRESHOLD,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -171,8 +172,8 @@ def _cmd_predict(args) -> int:
     volume = read_volume(args.input)
     probs = sliding_window_predict(model, volume, args.task - 1, args.window)
     labels = np.zeros(volume.shape, dtype=np.uint8)
-    labels[probs[0] >= 0.5] = 1
-    labels[probs[1] >= 0.5] = 2  # tumor wins where both fire
+    labels[probs[0] >= THRESHOLD] = 1
+    labels[probs[1] >= THRESHOLD] = 2  # tumor wins where both fire
     write_volume(Volume(volume.image, spacing=volume.spacing, labels=labels), args.out)
     print(f"wrote segmentation to {args.out}.lbl")
     return 0

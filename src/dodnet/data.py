@@ -31,6 +31,17 @@ TEST_SEED_BASE = 10_000
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
+# Intensities before noise: the organ over a zero background, and each tumor
+# as an offset from the organ.
+ORGAN_INTENSITY = 0.4
+TUMOR_CONTRAST = -0.3
+# Tumors per task that labels them (inclusive range), their radius as a
+# fraction of the organ's semi-axes, and the largest offset of their centre
+# in the same units; offset plus radius stays below 1, inside the organ.
+TUMOR_COUNT = (1, 2)
+TUMOR_RADIUS_FRAC = (0.35, 0.5)
+TUMOR_OFFSET_FRAC = 0.4
+
 Range = Tuple[float, float]
 AxisRanges = Tuple[Range, Range, Range]
 
@@ -96,22 +107,10 @@ class TaskRecipe:
     task: TaskDescriptor
     center_frac: AxisRanges
     semi_axis_frac: AxisRanges
-    tumor_count: Tuple[int, int] = (1, 2)
-    tumor_radius_frac: Range = (0.35, 0.5)
-    tumor_offset_frac: float = 0.4
 
     def __post_init__(self):
         _check_ranges("center_frac", self.center_frac)
         _check_ranges("semi_axis_frac", self.semi_axis_frac)
-        if self.tumor_count[0] < 1 or self.tumor_count[0] > self.tumor_count[1]:
-            raise ValueError(f"bad tumor_count range {self.tumor_count}")
-        lo, hi = self.tumor_radius_frac
-        if not 0.0 < lo <= hi < 1.0:
-            raise ValueError(f"bad tumor_radius_frac range {self.tumor_radius_frac}")
-        if not 0.0 <= self.tumor_offset_frac < 1.0:
-            raise ValueError(f"bad tumor_offset_frac {self.tumor_offset_frac}")
-        if self.tumor_offset_frac + hi >= 1.0:
-            raise ValueError("tumor offset plus radius must stay inside the organ")
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,6 @@ class PhantomSpec:
 
     recipes: Tuple[TaskRecipe, ...]
     master_seed: int = 0
-    organ_intensity: float = 0.4
-    tumor_contrast: float = -0.3
     noise_sigma: float = 0.05
     spacing: Tuple[float, float, float] = (1.0, 1.0, 1.0)
     cross_task_anatomy: bool = False
@@ -201,7 +198,6 @@ def _paint_task(
     shape: Tuple[int, int, int],
     image: np.ndarray,
     labels: np.ndarray,
-    spec: PhantomSpec,
     label_this_task: bool,
 ):
     center = [_draw_in_range(rng, recipe.center_frac[a]) * shape[a] for a in range(3)]
@@ -215,21 +211,21 @@ def _paint_task(
         # A centre drawn too close to the border moves inward until the organ fits.
         center[a] = min(max(center[a], semi[a]), shape[a] - 1.0 - semi[a])
     organ = _ellipsoid_mask(shape, center, semi)
-    image[organ] = spec.organ_intensity
+    image[organ] = ORGAN_INTENSITY
     if label_this_task and recipe.task.has_organ:
         labels[organ] = 1
     if not recipe.task.has_tumor:
         return
-    count = int(rng.integers(recipe.tumor_count[0], recipe.tumor_count[1] + 1))
+    count = int(rng.integers(TUMOR_COUNT[0], TUMOR_COUNT[1] + 1))
     for _ in range(count):
-        radius = _draw_in_range(rng, recipe.tumor_radius_frac)
+        radius = _draw_in_range(rng, TUMOR_RADIUS_FRAC)
         direction = rng.normal(size=3)
         direction /= max(np.linalg.norm(direction), 1e-12)
-        magnitude = float(rng.uniform(0.0, recipe.tumor_offset_frac))
+        magnitude = float(rng.uniform(0.0, TUMOR_OFFSET_FRAC))
         t_center = [center[a] + direction[a] * magnitude * semi[a] for a in range(3)]
         t_semi = [max(radius * semi[a], 0.6) for a in range(3)]
         tumor = _ellipsoid_mask(shape, t_center, t_semi) & organ
-        image[tumor] = spec.organ_intensity + spec.tumor_contrast
+        image[tumor] = ORGAN_INTENSITY + TUMOR_CONTRAST
         if label_this_task:
             labels[tumor] = 2
 
@@ -249,11 +245,11 @@ def generate_phantom(
     rng = np.random.default_rng(ss)
     image = np.zeros(shape, dtype=np.float64)
     labels = np.zeros(shape, dtype=np.uint8)
-    _paint_task(rng, spec.recipe_for(task.task_id), shape, image, labels, spec, True)
+    _paint_task(rng, spec.recipe_for(task.task_id), shape, image, labels, True)
     if spec.cross_task_anatomy:
         for recipe in spec.recipes:
             if recipe.task.task_id != task.task_id:
-                _paint_task(rng, recipe, shape, image, labels, spec, False)
+                _paint_task(rng, recipe, shape, image, labels, False)
     if spec.noise_sigma > 0:
         image += rng.normal(0.0, spec.noise_sigma, size=shape)
     split = "test" if sample_seed >= TEST_SEED_BASE else "train"

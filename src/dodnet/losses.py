@@ -64,7 +64,7 @@ def targets_from_labels(labels: np.ndarray) -> np.ndarray:
     return np.stack([organ, tumor], axis=-4)
 
 
-def dice_bce_loss(p: Tensor, y: np.ndarray, eps: float = DICE_EPS) -> Tensor:
+def dice_bce_loss(p: Tensor, y: np.ndarray) -> Tensor:
     """Soft-dice plus mean binary cross-entropy over one channel.
 
     ``p`` holds probabilities; ``y`` holds binary targets of the same shape.
@@ -77,7 +77,7 @@ def dice_bce_loss(p: Tensor, y: np.ndarray, eps: float = DICE_EPS) -> Tensor:
     yt = Tensor(y)
     ysum = float(y.sum())
     inter = (p * yt).sum()
-    dice = 1.0 - (inter * 2.0) / (p.sum() + (ysum + eps))
+    dice = 1.0 - (inter * 2.0) / (p.sum() + (ysum + DICE_EPS))
     pc = ops.clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     ll = yt * ops.log(pc) + Tensor(1.0 - y) * ops.log(1.0 - pc)
     return dice - ll.mean()

@@ -70,33 +70,15 @@ class ModelConfig:
 
 
 def desk_config(num_tasks: int = 2, **overrides) -> ModelConfig:
-    """Small configuration that trains in minutes on a laptop CPU."""
-    base = dict(
-        num_tasks=num_tasks,
-        base_channels=8,
-        num_downsamples=2,
-        pre_seg_channels=8,
-        head_depth=3,
-        head_width=8,
-        gn_groups=8,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
+    """Small configuration that trains in minutes on a laptop CPU: the
+    defaults with 8 base channels and two downsampling steps."""
+    return ModelConfig(num_tasks, **{"base_channels": 8, "num_downsamples": 2, **overrides})
 
 
 def full_config(num_tasks: int = 7, **overrides) -> ModelConfig:
-    """Full-size configuration (32 base channels, four downsampling steps)."""
-    base = dict(
-        num_tasks=num_tasks,
-        base_channels=32,
-        num_downsamples=4,
-        pre_seg_channels=8,
-        head_depth=3,
-        head_width=8,
-        gn_groups=8,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
+    """Full-size configuration: the defaults (32 base channels, four
+    downsampling steps)."""
+    return ModelConfig(num_tasks, **overrides)
 
 
 def encode_task(task_index: int, num_tasks: int) -> np.ndarray:

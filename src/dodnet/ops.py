@@ -22,6 +22,9 @@ IntOrTriple = Union[int, Tuple[int, int, int]]
 # 5-41% slower per workload than 4 MiB, and 8 MiB within 6% of it.
 _SHIFT_BUF_BYTES = 4 * 1024 * 1024
 
+# Variance guard of group norm and weight standardization.
+NORM_EPS = 1e-5
+
 
 def _triple(v: IntOrTriple, name: str) -> Tuple[int, int, int]:
     if isinstance(v, (int, np.integer)):
@@ -299,12 +302,12 @@ def conv3d(
     return _finalize(Tensor(out_data), (x, weight) if bias is None else (x, weight, bias), grad_fn)
 
 
-def _standardize(a: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+def _standardize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Zero mean and unit variance over the last axis: (xhat, inv), where
-    inv = 1 / sqrt(var + eps) keeps the last axis as size 1."""
+    inv = 1 / sqrt(var + NORM_EPS) keeps the last axis as size 1."""
     mu = a.mean(axis=-1, keepdims=True)
     var = a.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     return (a - mu) * inv, inv
 
 
@@ -315,9 +318,7 @@ def _standardize_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.nd
     return inv * (g - mean_g - xhat * mean_gx)
 
 
-def group_norm(
-    x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5
-) -> Tensor:
+def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize per (sample, channel group) to zero mean / unit variance,
     then apply the per-channel affine (gamma, beta)."""
     if x.ndim != 5:
@@ -331,7 +332,7 @@ def group_norm(
         raise ValueError(
             f"gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}"
         )
-    xhat, inv = _standardize(x.data.reshape(n, num_groups, -1), eps)  # (N, G, M)
+    xhat, inv = _standardize(x.data.reshape(n, num_groups, -1))  # (N, G, M)
     xhat_c = xhat.reshape(n, c, -1)
     gslice = gamma.data[None, :, None]
     out = Tensor((xhat_c * gslice + beta.data[None, :, None]).reshape(x.shape))
@@ -349,15 +350,15 @@ def group_norm(
     return _finalize(out, (x, gamma, beta), grad_fn)
 
 
-def weight_standardize(w: Tensor, eps: float = 1e-5) -> Tensor:
+def weight_standardize(w: Tensor) -> Tensor:
     """Shift/scale each output-channel kernel to zero mean, unit variance.
 
-    The eps guard sits under the square root, so a constant kernel maps to
+    The NORM_EPS guard sits under the square root, so a constant kernel maps to
     exactly zero instead of dividing by zero.
     """
     if w.ndim != 5:
         raise ValueError(f"weight_standardize expects 5-d kernels, got {w.shape}")
-    what, inv = _standardize(w.data.reshape(w.shape[0], -1), eps)
+    what, inv = _standardize(w.data.reshape(w.shape[0], -1))
 
     def grad_fn(g):
         accumulate_grad(w, _standardize_grad(g.reshape(what.shape), what, inv).reshape(w.shape))

@@ -40,7 +40,3 @@ class SGDMomentum:
             v *= self.momentum
             v += p.grad
             p.data -= lr * v
-
-    def state_arrays(self):
-        """Velocity buffers keyed by parameter name (live views, not copies)."""
-        return self.velocity

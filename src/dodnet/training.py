@@ -10,6 +10,8 @@ temporary file that replaces the target only once complete.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -20,13 +22,17 @@ import numpy as np
 from .data import Dataset, LabeledSample, Volume, _replaced_on_success, sample_patch
 from .losses import TaskDescriptor, masked_task_loss, targets_from_labels
 from .metrics import dice_score
-from .model import ModelConfig, Module, build_model
+from .model import ORGAN_CHANNEL, TUMOR_CHANNEL, ModelConfig, Module, build_model
 from .ops import sigmoid_array
 from .optim import SGDMomentum
 from .tensor import Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"DODN"
 CHECKPOINT_VERSION = 1
+# Probability at or above which a voxel is segmented, in evaluation and prediction.
+THRESHOLD = 0.5
+# Metric names are "<task>/<structure>".
+_STRUCTURE_NAMES = {ORGAN_CHANNEL: "organ", TUMOR_CHANNEL: "tumor"}
 
 
 class TrainingDiverged(RuntimeError):
@@ -120,21 +126,11 @@ class TrainResult:
     final_path: Optional[Path] = None
 
 
-def _structures(task: TaskDescriptor) -> List[Tuple[int, str]]:
-    out = []
-    if task.has_organ:
-        out.append((0, f"{task.name}/organ"))
-    if task.has_tumor:
-        out.append((1, f"{task.name}/tumor"))
-    return out
-
-
 def evaluate(
     model: Module,
     dataset: Dataset,
     window: Tuple[int, int, int],
     split: str = "test",
-    threshold: float = 0.5,
 ) -> Dict[str, float]:
     """Mean Dice per labeled structure over one split, via sliding windows."""
     scores: Dict[str, List[float]] = {}
@@ -143,9 +139,9 @@ def evaluate(
         for sample in samples:
             probs = sliding_window_predict(model, sample.volume, task.task_index, window)
             targets = targets_from_labels(sample.labels)
-            for channel, name in _structures(task):
-                d = dice_score(probs[channel] >= threshold, targets[channel] > 0)
-                scores.setdefault(name, []).append(d)
+            for channel in task.available_channels():
+                d = dice_score(probs[channel] >= THRESHOLD, targets[channel] > 0)
+                scores.setdefault(f"{task.name}/{_STRUCTURE_NAMES[channel]}", []).append(d)
     return {name: float(np.mean(vals)) for name, vals in scores.items()}
 
 
@@ -193,13 +189,13 @@ def train(
                 result.best_mean_dice = mean_dice
                 if out_dir is not None:
                     result.best_path = Path(out_dir) / "best.ckpt"
-                    save_checkpoint(result.best_path, model, optimizer, step=step)
+                    save_checkpoint(result.best_path, model, step=step)
     if out_dir is not None:
         result.final_path = Path(out_dir) / "final.ckpt"
-        save_checkpoint(result.final_path, model, optimizer, step=step)
+        save_checkpoint(result.final_path, model, step=step)
         if result.best_path is None:
             result.best_path = Path(out_dir) / "best.ckpt"
-            save_checkpoint(result.best_path, model, optimizer, step=step)
+            save_checkpoint(result.best_path, model, step=step)
         with _replaced_on_success(Path(out_dir) / "metrics.log") as fh:
             fh.write(("\n".join(result.metric_lines) + "\n").encode("utf-8"))
     return result
@@ -254,10 +250,8 @@ def sliding_window_predict(
 
 @dataclass
 class CheckpointData:
-    version: int
     config: Dict[str, str]
     params: Dict[str, np.ndarray]
-    opt_state: Optional[Dict[str, np.ndarray]]
     step: int
 
     def model_config(self) -> ModelConfig:
@@ -279,10 +273,13 @@ def _write_record(fh, name: str, array: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
-    return data
+    """Exactly n bytes, checked against what is left in the file before
+    reading, so a corrupt length field cannot ask for more memory than the
+    file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"truncated checkpoint: wanted {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def _read_record(fh) -> Tuple[str, np.ndarray]:
@@ -290,17 +287,12 @@ def _read_record(fh) -> Tuple[str, np.ndarray]:
     name = _read_exact(fh, name_len).decode("utf-8")
     (rank,) = struct.unpack("<I", _read_exact(fh, 4))
     shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank))
-    count = int(np.prod(shape)) if rank else 1
-    payload = _read_exact(fh, 4 * count)
+    payload = _read_exact(fh, 4 * math.prod(shape))
     return name, np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
 
-def save_checkpoint(
-    path: Path,
-    model: Module,
-    optimizer: Optional[SGDMomentum] = None,
-    step: int = 0,
-) -> None:
+def save_checkpoint(path: Path, model: Module, step: int = 0) -> None:
+    """Write the parameters; the optimizer-state section stays empty."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     config_lines = [f"arch={model.arch}", f"step={step}"]
@@ -316,13 +308,12 @@ def save_checkpoint(
         fh.write(struct.pack("<I", len(params)))
         for name, p in params:
             _write_record(fh, name, p.data)
-        state = optimizer.state_arrays() if optimizer is not None else {}
-        fh.write(struct.pack("<I", len(state)))
-        for name, v in state.items():
-            _write_record(fh, name, v)
+        fh.write(struct.pack("<I", 0))
 
 
 def load_checkpoint(path: Path) -> CheckpointData:
+    """Read a checkpoint; optimizer-state records an older writer stored are
+    parsed and dropped."""
     path = Path(path)
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
@@ -338,14 +329,9 @@ def load_checkpoint(path: Path) -> CheckpointData:
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
         params = dict(_read_record(fh) for _ in range(n_params))
         (n_state,) = struct.unpack("<I", _read_exact(fh, 4))
-        opt_state = dict(_read_record(fh) for _ in range(n_state)) or None
-    return CheckpointData(
-        version=version,
-        config=config,
-        params=params,
-        opt_state=opt_state,
-        step=int(config.get("step", 0)),
-    )
+        for _ in range(n_state):
+            _read_record(fh)
+    return CheckpointData(config=config, params=params, step=int(config.get("step", 0)))
 
 
 def _check_blocks(ckpt: CheckpointData, params: List[Tuple[str, Tensor]], what: str) -> None:

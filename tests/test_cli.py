@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ def test_predict_rejects_non_finite_checkpoint(run_dir, data_dir, tmp_path, caps
     assert err.startswith("error:") and "'controller.bias'" in err
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.glob("pred*"))
+
+
+def test_corrupt_checkpoint_length_is_reported(run_dir, data_dir, tmp_path, capsys):
+    blob = bytearray((run_dir / "final.ckpt").read_bytes())
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    (name_len,) = struct.unpack_from("<I", blob, 16 + config_len)
+    # The first extent of the first parameter record claims 2^40 elements.
+    struct.pack_into("<Q", blob, 16 + config_len + 4 + name_len + 4, 2**40)
+    (tmp_path / "bad.ckpt").write_bytes(bytes(blob))
+    rc = main(["eval", "--ckpt", str(tmp_path / "bad.ckpt"), "--data", str(data_dir),
+               "--window", PATCH])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: truncated checkpoint")
+    assert len(err.splitlines()) == 1
 
 
 def test_bench_prints_exact_cost_table(capsys):

@@ -154,8 +154,6 @@ class TestRecipesAndSpec:
         base = default_recipes(1)[0]
         with pytest.raises(ValueError, match="lo <= hi"):
             dataclasses.replace(base, center_frac=((0.5, 0.4), (0.3, 0.4), (0.3, 0.4)))
-        with pytest.raises(ValueError, match="inside the organ"):
-            dataclasses.replace(base, tumor_radius_frac=(0.5, 0.7))
 
 
 class TestSamplePatch:

@@ -1,6 +1,8 @@
 """Schedule, train-step semantics, stitching, checkpoints, and transfer."""
 
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +42,30 @@ PATCH = (8, 16, 16)
 def tiny_dataset(train_n=2, test_n=1, **spec_overrides) -> Dataset:
     spec = PhantomSpec(recipes=default_recipes(2), **spec_overrides)
     return build_dataset(spec, train_n, test_n, shape=(12, 16, 16))
+
+
+def checkpoint_bytes(model, tmp_path, step=0) -> bytes:
+    path = tmp_path / "written.ckpt"
+    save_checkpoint(path, model, step=step)
+    return path.read_bytes()
+
+
+def with_optimizer_records(blob: bytes, optimizer) -> bytes:
+    """``blob`` in the older writer's layout, which stored one velocity
+    record per parameter after the parameter records."""
+    tail = io.BytesIO()
+    tail.write(struct.pack("<I", len(optimizer.velocity)))
+    for name, v in optimizer.velocity.items():
+        training._write_record(tail, name, v)
+    return blob[:-4] + tail.getvalue()
+
+
+def with_first_shape(blob: bytes, dims) -> bytes:
+    """``blob`` with the leading extents of its first record replaced."""
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    (name_len,) = struct.unpack_from("<I", blob, 16 + config_len)
+    at = 16 + config_len + 4 + name_len + 4
+    return blob[:at] + struct.pack(f"<{len(dims)}Q", *dims) + blob[at + 8 * len(dims) :]
 
 
 def tiny_batch(rng, task=None, n=2):
@@ -270,13 +296,11 @@ class TestCheckpoints:
         opt = SGDMomentum(model.named_parameters())
         train_step(model, tiny_batch(np.random.default_rng(5)), opt, lr=0.01)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, opt, step=17)
+        save_checkpoint(path, model, step=17)
         ckpt = load_checkpoint(path)
         assert ckpt.step == 17
         for name, p in model.named_parameters():
             assert np.array_equal(ckpt.params[name], p.data), name
-        for name, v in opt.state_arrays().items():
-            assert np.array_equal(ckpt.opt_state[name], v), name
 
     def test_rebuilt_model_forward_identical(self, tmp_path):
         model = DodNet(TINY, seed=15)
@@ -288,9 +312,41 @@ class TestCheckpoints:
     def test_checkpoint_without_optimizer_loads(self, tmp_path):
         model = DodNet(TINY, seed=16)
         save_checkpoint(tmp_path / "m.ckpt", model)
-        ckpt = load_checkpoint(tmp_path / "m.ckpt")
-        assert ckpt.opt_state is None
-        model_from_checkpoint(ckpt)
+        model_from_checkpoint(load_checkpoint(tmp_path / "m.ckpt"))
+
+    def test_train_writes_no_optimizer_records(self, tmp_path):
+        cfg = TrainConfig(max_epoch=1, steps_per_epoch=1, batch_size=1, patch=PATCH)
+        train(DodNet(TINY, seed=3), tiny_dataset(), cfg, out_dir=tmp_path)
+        for name in ("final.ckpt", "best.ckpt"):
+            assert (tmp_path / name).read_bytes()[-4:] == struct.pack("<I", 0), name
+
+    def test_optimizer_records_of_older_files_are_skipped(self, tmp_path):
+        model = DodNet(TINY, seed=17)
+        opt = SGDMomentum(model.named_parameters())
+        train_step(model, tiny_batch(np.random.default_rng(6)), opt, lr=0.01)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(with_optimizer_records(checkpoint_bytes(model, tmp_path, step=5), opt))
+        ckpt = load_checkpoint(path)
+        assert ckpt.step == 5
+        clone = DodNet(TINY, seed=18)
+        restore_into(clone, ckpt)
+        for (name, p), (_, q) in zip(model.named_parameters(), clone.named_parameters()):
+            assert np.array_equal(p.data, q.data), name
+
+    def test_truncated_optimizer_record_rejected(self, tmp_path):
+        model = DodNet(TINY, seed=19)
+        opt = SGDMomentum(model.named_parameters())
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(with_optimizer_records(checkpoint_bytes(model, tmp_path), opt)[:-10])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**40,), (2**32, 2**32)], ids=["huge", "overflowing"])
+    def test_oversized_shape_field_rejected(self, tmp_path, dims):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(with_first_shape(checkpoint_bytes(DodNet(TINY, seed=0), tmp_path), dims))
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
 
     def test_shape_mismatch_names_first_block(self, tmp_path):
         small = DodNet(TINY, seed=0)
